@@ -103,8 +103,9 @@ int main() {
   }
 
   crsat::ClassId speaker = schema.FindClass("Speaker").value();
-  crsat::Interpretation model =
-      crsat::ModelBuilder::BuildModelForClass(checker, speaker).value();
+  const crsat::CertifiedWitness witness =
+      crsat::WitnessSynthesizer(checker).Synthesize().value();
+  const crsat::Interpretation& model = witness.interpretation();
   std::cout << "\nDerived finite model (paper's model has John, Mary and "
                "two talks):\n"
             << model.ToString();

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/json.h"
 #include "src/crsat.h"
 
 #ifndef CRSAT_SOURCE_DIR
@@ -189,20 +190,6 @@ Workload TimeAtThreadCounts(const std::string& name,
   return workload;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string escaped;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    } else if (c == '\n') {
-      escaped += "\\n";
-      continue;
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
 std::string ToJson(const std::vector<Workload>& workloads,
                    bool all_deterministic) {
   std::ostringstream out;
@@ -220,7 +207,7 @@ std::string ToJson(const std::vector<Workload>& workloads,
     double base_ms = workload.timings.empty()
                          ? 0
                          : workload.timings.front().wall_ms;
-    out << "    {\n      \"name\": \"" << JsonEscape(workload.name)
+    out << "    {\n      \"name\": \"" << crsat::JsonEscape(workload.name)
         << "\",\n      \"deterministic\": "
         << (workload.deterministic ? "true" : "false")
         << ",\n      \"runs\": [\n";

@@ -29,7 +29,11 @@
 //   crsat_cli debug <schema-file> <Class>    minimal unsat core
 //   crsat_cli implies <schema-file> isa <Sub> <Super>
 //   crsat_cli implies <schema-file> card <Class> <Rel> <Role>
-//       (prints the tightest implied (min, max) for the triple)
+//       (prints the tightest implied (min, max) for the triple). A wrong
+//       word count, an unknown class, relationship or role, or a query
+//       that does not fit the schema (role outside the relationship,
+//       unsatisfiable class) exits 2 with the reason on stderr, exactly
+//       like `client ... implies`; it used to exit 1.
 //   crsat_cli checkstate <schema-file> <state-file>
 //       (integrity check: is the database state a model of the schema?)
 //   crsat_cli report <schema-file>   implied-cardinality table (Figure 7
@@ -85,8 +89,9 @@
 //       issues the request, prints the response payload (stdout for
 //       ok/findings, stderr otherwise) and exits with the CLI contract
 //       (0/1/2/3; load-shed and draining refusals map to 3). The limit
-//       flags ride in the request's budget headers. Verdict output is
-//       byte-identical to the one-shot command.
+//       flags ride in the request's budget headers. check, lint, witness
+//       and implies run the same src/commands/ verbs as the one-shot
+//       commands, so verdict output is byte-identical to them.
 //
 // Fault injection: every command honors CRSAT_FAILPOINTS (grammar in
 // src/base/failpoint.h), arming deterministic failures on the recovery
@@ -109,6 +114,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/base/json.h"
+#include "src/commands/commands.h"
 #include "src/crsat.h"
 #include "src/server/client.h"
 #include "src/server/server.h"
@@ -116,10 +123,10 @@
 namespace {
 
 // Distinct exit codes so scripts can tell outcomes apart.
-constexpr int kExitOk = 0;        // Success, no adverse findings.
-constexpr int kExitFindings = 1;  // Unsat classes, lint errors, failures.
-constexpr int kExitUsage = 2;     // Bad command line.
-constexpr int kExitResource = 3;  // A resource limit tripped.
+using crsat::commands::kExitFindings;
+using crsat::commands::kExitOk;
+using crsat::commands::kExitResource;
+using crsat::commands::kExitUsage;
 
 int Usage() {
   std::cerr
@@ -223,22 +230,36 @@ crsat::Result<crsat::ClassId> ResolveClass(const crsat::Schema& schema,
   return *cls;
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string escaped;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
 // Shared flag state for the resource-bounded commands (check, lint).
 struct GuardFlags {
   crsat::ResourceLimits limits;
   bool any = false;  // True when at least one limit flag was given.
+  std::optional<crsat::ResourceGuard> guard;
+
+  // The command's guard, started on first use; null when no limit flag
+  // was given (the pipeline's zero-overhead "unlimited" convention).
+  crsat::ResourceGuard* Guard() {
+    if (any && !guard.has_value()) {
+      guard.emplace(limits);
+    }
+    return guard.has_value() ? &*guard : nullptr;
+  }
 };
+
+// Reads the value of the flag at argv[*i] as an integer >= `min_value`,
+// advancing *i past it. False when the value is missing or malformed.
+bool ParseLong(int argc, char** argv, int* i, long min_value, long* out) {
+  if (*i + 1 >= argc) {
+    return false;
+  }
+  char* end = nullptr;
+  const long value = std::strtol(argv[++*i], &end, 10);
+  if (end == nullptr || *end != '\0' || value < min_value) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
 
 // Parses one `--timeout-ms/--max-compounds/--max-memory-mb N` pair at
 // argv[i] (advancing i past the value). Returns false when `arg` is not a
@@ -249,13 +270,8 @@ bool ParseGuardFlag(const std::string& arg, int argc, char** argv, int* i,
       arg != "--max-memory-mb") {
     return false;
   }
-  if (*i + 1 >= argc) {
-    *bad = true;
-    return true;
-  }
-  char* end = nullptr;
-  const long long value = std::strtoll(argv[++*i], &end, 10);
-  if (end == nullptr || *end != '\0' || value < 0) {
+  long value = 0;
+  if (!ParseLong(argc, argv, i, 0, &value)) {
     *bad = true;
     return true;
   }
@@ -271,71 +287,9 @@ bool ParseGuardFlag(const std::string& arg, int argc, char** argv, int* i,
   return true;
 }
 
-// Reports a tripped guard (JSON on stdout or text on stderr) and returns
-// the resource exit code.
-int ReportTrip(const crsat::ResourceGuard& guard, bool json) {
-  if (json) {
-    std::cout << "{\n  \"error\": \""
-              << JsonEscape(guard.TripStatus().ToString())
-              << "\",\n  \"resource\": " << guard.report().ToJson()
-              << "\n}\n";
-  } else {
-    std::cerr << guard.TripStatus() << "\n"
-              << guard.report().ToString() << "\n";
-  }
-  return kExitResource;
-}
-
-// Per-invocation solver counters as a JSON object (stats are reset at
-// command start, so these cover exactly this invocation).
-std::string SimplexStatsJson() {
-  const crsat::SimplexStats& stats = crsat::GetSimplexStats();
-  auto load = [](const std::atomic<std::uint64_t>& counter) {
-    return std::to_string(counter.load(std::memory_order_relaxed));
-  };
-  return "{\"solves\": " + load(stats.solves) +
-         ", \"pivots\": " + load(stats.pivots) +
-         ", \"phase1_pivots\": " + load(stats.phase1_pivots) +
-         ", \"fast_solves\": " + load(stats.fast_solves) +
-         ", \"fast_pivots\": " + load(stats.fast_pivots) +
-         ", \"tier_fallbacks\": " + load(stats.tier_fallbacks) +
-         ", \"warm_start_hits\": " + load(stats.warm_start_hits) +
-         ", \"warm_start_misses\": " + load(stats.warm_start_misses) +
-         ", \"dual_pivots\": " + load(stats.dual_pivots) +
-         ", \"incremental_hits\": " + load(stats.incremental_hits) +
-         ", \"incremental_fallbacks\": " + load(stats.incremental_fallbacks) +
-         ", \"dominance_lookups\": " +
-         load(crsat::GetImplicationStats().dominance_lookups) +
-         ", \"dominance_hits\": " +
-         load(crsat::GetImplicationStats().dominance_hits) +
-         ", \"derived_disjoint_pairs\": " +
-         load(crsat::GetExpansionStats().derived_disjoint_pairs) +
-         ", \"pruned_subtrees\": " +
-         load(crsat::GetExpansionStats().pruned_subtrees) +
-         ", \"ln_short_circuits\": " +
-         load(crsat::GetFastPathStats().ln_short_circuits) + "}";
-}
-
-// Degradation-ladder transitions (src/base/degradation.h) as a JSON
-// object: how often the run fell back a rung and why.
-std::string RecoveryStatsJson() {
-  const crsat::RecoveryStats& stats = crsat::GetRecoveryStats();
-  auto load = [](const std::atomic<std::uint64_t>& counter) {
-    return std::to_string(counter.load(std::memory_order_relaxed));
-  };
-  return "{\"warm_start_fallbacks\": " + load(stats.warm_start_fallbacks) +
-         ", \"cover_fallbacks\": " + load(stats.cover_fallbacks) +
-         ", \"tier_fallbacks\": " + load(stats.tier_fallbacks) +
-         ", \"witness_flow_refinements\": " +
-         load(stats.witness_flow_refinements) +
-         ", \"witness_rescales\": " + load(stats.witness_rescales) +
-         ", \"bad_alloc_conversions\": " + load(stats.bad_alloc_conversions) +
-         ", \"guard_trips\": " + load(stats.guard_trips) + "}";
-}
-
-// Zeroes every per-invocation counter family reported by
-// `SimplexStatsJson`/`RecoveryStatsJson` so a `--json` report covers
-// exactly one run.
+// Zeroes every per-invocation counter family that `check --json`
+// reports, so the report covers exactly one run. Only the one-shot CLI
+// may do this: inside crsatd a reset would corrupt concurrent requests.
 void ResetAllStats() {
   crsat::GetSimplexStats().Reset();
   crsat::GetImplicationStats().Reset();
@@ -343,218 +297,6 @@ void ResetAllStats() {
   crsat::GetFastPathStats().Reset();
   crsat::GetRecoveryStats().Reset();
   crsat::ResetFailpointCounters();
-}
-
-int RunLint(const std::string& path, bool json, crsat::ResourceGuard* guard) {
-  crsat::Result<std::string> text = ReadFile(path);
-  if (!text.ok()) {
-    std::cerr << text.status() << "\n";
-    return EXIT_FAILURE;
-  }
-  // Parse leniently so empty ranges reach the `empty-range` rule with a
-  // source position instead of failing the build.
-  crsat::ParseSchemaOptions options;
-  options.permit_empty_ranges = true;
-  crsat::Result<crsat::NamedSchema> parsed = crsat::ParseSchema(*text, options);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status() << "\n";
-    return EXIT_FAILURE;
-  }
-  crsat::LintOptions lint_options;
-  lint_options.guard = guard;
-  std::vector<crsat::Diagnostic> diagnostics =
-      crsat::RunLint(*parsed, lint_options);
-  if (guard != nullptr && guard->tripped()) {
-    // Truncated run: partial findings are not trustworthy verdicts.
-    return ReportTrip(*guard, json);
-  }
-  if (json) {
-    std::cout << crsat::DiagnosticsToJson(diagnostics) << "\n";
-  } else {
-    int errors = 0, warnings = 0, notes = 0;
-    for (const crsat::Diagnostic& diagnostic : diagnostics) {
-      std::cout << crsat::FormatDiagnostic(diagnostic, path) << "\n";
-      switch (diagnostic.severity) {
-        case crsat::Severity::kError:
-          ++errors;
-          break;
-        case crsat::Severity::kWarning:
-          ++warnings;
-          break;
-        case crsat::Severity::kNote:
-          ++notes;
-          break;
-      }
-    }
-    if (diagnostics.empty()) {
-      std::cout << "schema '" << parsed->name << "': no findings\n";
-    } else {
-      std::cout << errors << " error(s), " << warnings << " warning(s), "
-                << notes << " note(s)\n";
-    }
-  }
-  return crsat::HasErrors(diagnostics) ? kExitFindings : kExitOk;
-}
-
-// `witness_mode` is "" (off), "text", "json", or "dot". Synthesis only
-// runs when at least one class is satisfiable, and only a certified
-// witness is ever emitted; a resource limit tripped during synthesis
-// downgrades to the plain verdict (the check already completed) with the
-// trip reported in the witness slot.
-int RunCheck(const crsat::NamedSchema& parsed, bool json,
-             const std::string& witness_mode, crsat::ResourceGuard* guard) {
-  const crsat::Schema& schema = parsed.schema;
-  // ISA-free schemas skip the expansion pipeline entirely: the
-  // Lenzerini-Nobili baseline computes the same verdicts with one unknown
-  // per class. Witness synthesis needs the full checker, so the fast path
-  // only applies to plain checks.
-  std::optional<std::vector<bool>> satisfiable;
-  if (witness_mode.empty()) {
-    crsat::Result<std::optional<std::vector<bool>>> fast =
-        crsat::TryLnSatisfiableClasses(schema);
-    if (!fast.ok()) {
-      std::cerr << fast.status() << "\n";
-      return kExitFindings;
-    }
-    satisfiable = std::move(fast.value());
-  }
-  std::optional<crsat::Expansion> expansion;
-  std::optional<crsat::SatisfiabilityChecker> checker;
-  // Structural emptiness facts feed both the expansion's compound pruning
-  // and the checker's per-class short-circuit.
-  std::vector<bool> known_empty;
-  if (!satisfiable.has_value()) {
-    known_empty = crsat::ComputeProvablyEmpty(schema).class_empty;
-    crsat::ExpansionOptions options;
-    options.guard = guard;
-    options.known_empty_classes = &known_empty;
-    crsat::Result<crsat::Expansion> built =
-        crsat::Expansion::Build(schema, options);
-    if (!built.ok()) {
-      if (guard != nullptr && guard->tripped()) {
-        return ReportTrip(*guard, json);
-      }
-      std::cerr << built.status() << "\n";
-      return crsat::IsResourceLimitStatus(built.status().code())
-                 ? kExitResource
-                 : kExitFindings;
-    }
-    expansion.emplace(std::move(built.value()));
-    checker.emplace(*expansion);
-    checker->SetKnownEmptyClasses(known_empty);
-    crsat::Result<std::vector<bool>> verdicts = checker->SatisfiableClasses();
-    if (!verdicts.ok()) {
-      if (guard != nullptr && guard->tripped()) {
-        return ReportTrip(*guard, json);
-      }
-      std::cerr << verdicts.status() << "\n";
-      // A resource-family failure without a configured guard (converted
-      // bad_alloc, injected allocation fault) is still a resource limit,
-      // not a finding: honor the 0/1/2/3 exit contract.
-      return crsat::IsResourceLimitStatus(verdicts.status().code())
-                 ? kExitResource
-                 : kExitFindings;
-    }
-    satisfiable.emplace(std::move(verdicts.value()));
-  }
-  bool all_ok = true;
-  bool any_satisfiable = false;
-  for (crsat::ClassId cls : schema.AllClasses()) {
-    all_ok = all_ok && (*satisfiable)[cls.value];
-    any_satisfiable = any_satisfiable || (*satisfiable)[cls.value];
-  }
-
-  std::optional<crsat::CertifiedWitness> witness;
-  bool witness_downgraded = false;
-  std::string witness_failure;
-  if (!witness_mode.empty() && any_satisfiable) {
-    crsat::WitnessSynthesizer synthesizer(*checker);
-    crsat::WitnessOptions witness_options;
-    witness_options.guard = guard;
-    witness_options.source_map = &parsed.source_map;
-    crsat::Result<crsat::CertifiedWitness> result =
-        synthesizer.Synthesize(witness_options);
-    if (result.ok()) {
-      witness.emplace(std::move(result.value()));
-    } else if (crsat::IsResourceLimitStatus(result.status().code())) {
-      // The verdict predates the trip and stands; only the witness is
-      // dropped. Exit code stays verdict-driven.
-      witness_downgraded = true;
-      witness_failure = result.status().ToString();
-    } else {
-      // Anything else (certification refusal included) is a hard error:
-      // an uncertified witness is never emitted, silently or otherwise.
-      std::cerr << result.status() << "\n";
-      return kExitFindings;
-    }
-  }
-
-  if (json) {
-    std::cout << "{\n  \"schema\": \"" << JsonEscape(parsed.name)
-              << "\",\n  \"threads\": " << crsat::GlobalThreadCount()
-              << ",\n  \"classes\": [\n";
-    bool first = true;
-    for (crsat::ClassId cls : schema.AllClasses()) {
-      if (!first) {
-        std::cout << ",\n";
-      }
-      first = false;
-      std::cout << "    {\"name\": \"" << JsonEscape(schema.ClassName(cls))
-                << "\", \"satisfiable\": "
-                << ((*satisfiable)[cls.value] ? "true" : "false") << "}";
-    }
-    std::cout << "\n  ],\n  \"strongly_satisfiable\": "
-              << (all_ok ? "true" : "false")
-              << ",\n  \"stats\": " << SimplexStatsJson()
-              << ",\n  \"recovery\": " << RecoveryStatsJson();
-    if (!witness_mode.empty()) {
-      std::cout << ",\n  \"witness\": ";
-      if (witness.has_value()) {
-        std::cout << crsat::WitnessToJson(*witness);
-      } else if (witness_downgraded) {
-        std::cout << "{\"certified\": false, \"error\": \""
-                  << JsonEscape(witness_failure) << "\"}";
-      } else {
-        std::cout << "{\"certified\": false, \"error\": \"no class is "
-                     "satisfiable; nothing to witness\"}";
-      }
-    }
-    if (guard != nullptr) {
-      std::cout << ",\n  \"resource\": " << guard->report().ToJson();
-    }
-    std::cout << "\n}\n";
-    return all_ok ? kExitOk : kExitFindings;
-  }
-  for (crsat::ClassId cls : schema.AllClasses()) {
-    bool ok = (*satisfiable)[cls.value];
-    std::cout << (ok ? "  satisfiable    " : "  UNSATISFIABLE  ")
-              << schema.ClassName(cls) << "\n";
-  }
-  std::cout << (all_ok ? "schema is strongly satisfiable"
-                       : "schema has unpopulatable classes (see 'debug')")
-            << "\n";
-  if (witness.has_value()) {
-    if (witness_mode == "json") {
-      std::cout << crsat::WitnessToJson(*witness) << "\n";
-    } else if (witness_mode == "dot") {
-      std::cout << crsat::WitnessToDot(*witness);
-    } else {
-      std::cout << "witness (certified): " << witness->stats().individuals
-                << " individual(s), " << witness->stats().tuples
-                << " tuple(s)\n"
-                << witness->interpretation().ToString();
-    }
-  } else if (witness_downgraded) {
-    std::cerr << "witness synthesis stopped by a resource limit; the "
-                 "verdict above stands without a witness\n"
-              << witness_failure << "\n";
-    if (guard != nullptr) {
-      std::cerr << guard->report().ToString() << "\n";
-    }
-  } else if (!witness_mode.empty()) {
-    std::cout << "no witness: no class is satisfiable\n";
-  }
-  return all_ok ? kExitOk : kExitFindings;
 }
 
 // `check --backend=saturation`: classical (unrestricted-model) verdicts
@@ -581,7 +323,7 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
         any_unknown || result.verdict == crsat::SaturationVerdict::kUnknown;
   }
   if (json) {
-    std::cout << "{\n  \"schema\": \"" << JsonEscape(parsed.name)
+    std::cout << "{\n  \"schema\": \"" << crsat::JsonEscape(parsed.name)
               << "\",\n  \"backend\": \"saturation\",\n  \"classes\": [\n";
     bool first = true;
     for (const crsat::SaturationClassResult& result : report.classes) {
@@ -590,12 +332,12 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
       }
       first = false;
       std::cout << "    {\"name\": \""
-                << JsonEscape(schema.ClassName(result.cls))
+                << crsat::JsonEscape(schema.ClassName(result.cls))
                 << "\", \"verdict\": \""
                 << crsat::SaturationVerdictToString(result.verdict) << "\"";
       if (!result.unknown_reason.empty()) {
         std::cout << ", \"unknown_reason\": \""
-                  << JsonEscape(result.unknown_reason) << "\"";
+                  << crsat::JsonEscape(result.unknown_reason) << "\"";
       }
       std::cout << "}";
     }
@@ -620,6 +362,26 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
   return any_unsat ? kExitFindings : kExitOk;
 }
 
+// Prints a shared verb's output streams and returns its exit code.
+int Print(const crsat::commands::CommandResult& result) {
+  std::cout << result.out;
+  std::cerr << result.err;
+  return result.exit_code;
+}
+
+// argv[first..argc) joined by single spaces: the word list `implies`
+// takes on both the one-shot and the client path.
+std::string JoinArgs(int first, int argc, char** argv) {
+  std::string words;
+  for (int i = first; i < argc; ++i) {
+    if (i > first) {
+      words += ' ';
+    }
+    words += argv[i];
+  }
+  return words;
+}
+
 int RunModel(const crsat::Schema& schema, const std::string& class_name) {
   crsat::Result<crsat::ClassId> cls = ResolveClass(schema, class_name);
   if (!cls.ok()) {
@@ -632,13 +394,27 @@ int RunModel(const crsat::Schema& schema, const std::string& class_name) {
     return EXIT_FAILURE;
   }
   crsat::SatisfiabilityChecker checker(*expansion);
-  crsat::Result<crsat::Interpretation> model =
-      crsat::ModelBuilder::BuildModelForClass(checker, *cls);
-  if (!model.ok()) {
-    std::cerr << model.status() << "\n";
+  crsat::Result<bool> satisfiable = checker.IsClassSatisfiable(*cls);
+  if (!satisfiable.ok()) {
+    std::cerr << satisfiable.status() << "\n";
     return EXIT_FAILURE;
   }
-  std::cout << model->ToString();
+  if (!*satisfiable) {
+    std::cerr << crsat::InvalidArgumentError(
+                     "class '" + class_name +
+                     "' is unsatisfiable; no model can populate it")
+              << "\n";
+    return EXIT_FAILURE;
+  }
+  // The synthesized witness populates every satisfiable class, `cls`
+  // included.
+  crsat::Result<crsat::CertifiedWitness> witness =
+      crsat::WitnessSynthesizer(checker).Synthesize();
+  if (!witness.ok()) {
+    std::cerr << witness.status() << "\n";
+    return EXIT_FAILURE;
+  }
+  std::cout << witness->interpretation().ToString();
   return EXIT_SUCCESS;
 }
 
@@ -668,51 +444,6 @@ int RunDebug(const crsat::Schema& schema, const std::string& class_name) {
     }
   }
   return EXIT_SUCCESS;
-}
-
-int RunImplies(const crsat::Schema& schema, int argc, char** argv) {
-  const std::string mode = argv[3];
-  if (mode == "isa" && argc == 6) {
-    crsat::Result<crsat::ClassId> sub = ResolveClass(schema, argv[4]);
-    crsat::Result<crsat::ClassId> super = ResolveClass(schema, argv[5]);
-    if (!sub.ok() || !super.ok()) {
-      std::cerr << (sub.ok() ? super.status() : sub.status()) << "\n";
-      return EXIT_FAILURE;
-    }
-    crsat::Result<bool> implied =
-        crsat::ImplicationChecker::ImpliesIsa(schema, *sub, *super);
-    if (!implied.ok()) {
-      std::cerr << implied.status() << "\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << argv[4] << " <= " << argv[5] << ": "
-              << (*implied ? "implied" : "not implied") << "\n";
-    return EXIT_SUCCESS;
-  }
-  if (mode == "card" && argc == 7) {
-    crsat::Result<crsat::ClassId> cls = ResolveClass(schema, argv[4]);
-    std::optional<crsat::RelationshipId> rel = schema.FindRelationship(argv[5]);
-    std::optional<crsat::RoleId> role = schema.FindRole(argv[6]);
-    if (!cls.ok() || !rel.has_value() || !role.has_value()) {
-      std::cerr << "unknown class, relationship or role\n";
-      return EXIT_FAILURE;
-    }
-    crsat::Result<std::uint64_t> min =
-        crsat::ImplicationChecker::TightestImpliedMin(schema, *cls, *rel,
-                                                      *role);
-    crsat::Result<std::optional<std::uint64_t>> max =
-        crsat::ImplicationChecker::TightestImpliedMax(schema, *cls, *rel,
-                                                      *role);
-    if (!min.ok() || !max.ok()) {
-      std::cerr << (min.ok() ? max.status() : min.status()) << "\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << "tightest implied cardinality of (" << argv[4] << ", "
-              << argv[5] << ", " << argv[6] << "): (" << *min << ", "
-              << (max->has_value() ? std::to_string(**max) : "*") << ")\n";
-    return EXIT_SUCCESS;
-  }
-  return Usage();
 }
 
 // Differential conformance sweep (src/oracle/): generated schemas, the
@@ -768,35 +499,24 @@ int RunConform(int argc, char** argv) {
   long chaos_seeds = 0;
   bool json = false;
   std::string dump_dir;
-  auto parse_int = [&](int* i, long min_value, long* out) {
-    if (*i + 1 >= argc) {
-      return false;
-    }
-    char* end = nullptr;
-    const long value = std::strtol(argv[++*i], &end, 10);
-    if (end == nullptr || *end != '\0' || value < min_value) {
-      return false;
-    }
-    *out = value;
-    return true;
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     long value = 0;
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--seeds" && parse_int(&i, 1, &value)) {
+    } else if (arg == "--seeds" && ParseLong(argc, argv, &i, 1, &value)) {
       options.num_seeds = static_cast<int>(value);
-    } else if (arg == "--seed-start" && parse_int(&i, 0, &value)) {
+    } else if (arg == "--seed-start" && ParseLong(argc, argv, &i, 0, &value)) {
       options.first_seed = static_cast<std::uint32_t>(value);
-    } else if (arg == "--bound" && parse_int(&i, 1, &value)) {
+    } else if (arg == "--bound" && ParseLong(argc, argv, &i, 1, &value)) {
       options.oracle.max_domain = static_cast<int>(value);
-    } else if (arg == "--tuple-bound" && parse_int(&i, 1, &value)) {
+    } else if (arg == "--tuple-bound" && ParseLong(argc, argv, &i, 1, &value)) {
       options.oracle.max_tuples_per_relationship =
           static_cast<std::uint64_t>(value);
-    } else if (arg == "--classes" && parse_int(&i, 1, &value)) {
+    } else if (arg == "--classes" && ParseLong(argc, argv, &i, 1, &value)) {
       options.num_classes = static_cast<int>(value);
-    } else if (arg == "--relationships" && parse_int(&i, 0, &value)) {
+    } else if (arg == "--relationships" &&
+               ParseLong(argc, argv, &i, 0, &value)) {
       options.num_relationships = static_cast<int>(value);
     } else if (arg == "--engines" && i + 1 < argc) {
       // The comma list selects which independent engines vote alongside
@@ -837,9 +557,9 @@ int RunConform(int argc, char** argv) {
       options.minimize = false;
     } else if (arg == "--dump-dir" && i + 1 < argc) {
       dump_dir = argv[++i];
-    } else if (arg == "--chaos-seeds" && parse_int(&i, 1, &value)) {
+    } else if (arg == "--chaos-seeds" && ParseLong(argc, argv, &i, 1, &value)) {
       chaos_seeds = value;
-    } else if (arg == "--chaos-start" && parse_int(&i, 0, &value)) {
+    } else if (arg == "--chaos-start" && ParseLong(argc, argv, &i, 0, &value)) {
       chaos_options.first_seed = static_cast<std::uint32_t>(value);
     } else {
       return Usage();
@@ -899,31 +619,20 @@ void OnShutdownSignal(int /*signum*/) { g_shutdown_requested = 1; }
 int RunServe(int argc, char** argv) {
   crsat::server::ServerOptions options;
   GuardFlags guard_flags;
-  auto parse_long = [&](int* i, long min_value, long* out) {
-    if (*i + 1 >= argc) {
-      return false;
-    }
-    char* end = nullptr;
-    const long value = std::strtol(argv[++*i], &end, 10);
-    if (end == nullptr || *end != '\0' || value < min_value) {
-      return false;
-    }
-    *out = value;
-    return true;
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     long value = 0;
     bool bad = false;
-    if (arg == "--port" && parse_long(&i, 0, &value)) {
+    if (arg == "--port" && ParseLong(argc, argv, &i, 0, &value)) {
       options.port = static_cast<int>(value);
     } else if (arg == "--unix-socket" && i + 1 < argc) {
       options.unix_socket = argv[++i];
-    } else if (arg == "--threads" && parse_long(&i, 0, &value)) {
+    } else if (arg == "--threads" && ParseLong(argc, argv, &i, 0, &value)) {
       options.threads = static_cast<int>(value);
-    } else if (arg == "--max-queued" && parse_long(&i, 1, &value)) {
+    } else if (arg == "--max-queued" && ParseLong(argc, argv, &i, 1, &value)) {
       options.scheduler.max_queued = static_cast<std::size_t>(value);
-    } else if (arg == "--max-queued-per-lane" && parse_long(&i, 1, &value)) {
+    } else if (arg == "--max-queued-per-lane" &&
+               ParseLong(argc, argv, &i, 1, &value)) {
       options.scheduler.max_queued_per_lane =
           static_cast<std::size_t>(value);
     } else if (!ParseGuardFlag(arg, argc, argv, &i, &guard_flags, &bad) ||
@@ -1002,10 +711,9 @@ int RunClient(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     bool bad = false;
-    if (arg == "--port" && i + 1 < argc) {
-      char* end = nullptr;
-      const long value = std::strtol(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || value < 1 || value > 65535) {
+    long value = 0;
+    if (arg == "--port") {
+      if (!ParseLong(argc, argv, &i, 1, &value) || value > 65535) {
         return Usage();
       }
       port = static_cast<int>(value);
@@ -1111,7 +819,7 @@ int RunClient(int argc, char** argv) {
     std::string mode;
     if (i < argc) {
       mode = argv[i++];
-      if (mode != "text" && mode != "json" && mode != "dot") {
+      if (!crsat::commands::IsWitnessMode(mode)) {
         return Usage();
       }
     }
@@ -1120,15 +828,9 @@ int RunClient(int argc, char** argv) {
     }
     return finish(call(crsat::server::RequestType::kWitness, mode));
   }
-  if (command == "implies" && i < argc) {
-    std::string payload;
-    for (; i < argc; ++i) {
-      if (!payload.empty()) {
-        payload += ' ';
-      }
-      payload += argv[i];
-    }
-    return finish(call(crsat::server::RequestType::kImplications, payload));
+  if (command == "implies") {
+    return finish(call(crsat::server::RequestType::kImplications,
+                       JoinArgs(i, argc, argv)));
   }
   return Usage();
 }
@@ -1163,11 +865,13 @@ int RealMain(int argc, char** argv) {
         return Usage();
       }
     }
-    if (guard_flags.any) {
-      crsat::ResourceGuard guard(guard_flags.limits);
-      return RunLint(argv[2], json, &guard);
+    crsat::Result<std::string> text = ReadFile(argv[2]);
+    if (!text.ok()) {
+      std::cerr << text.status() << "\n";
+      return kExitFindings;
     }
-    return RunLint(argv[2], json, nullptr);
+    return Print(
+        crsat::commands::Lint(argv[2], *text, json, guard_flags.Guard()));
   }
   crsat::Result<crsat::NamedSchema> parsed = LoadSchema(argv[2]);
   if (!parsed.ok()) {
@@ -1196,14 +900,11 @@ int RealMain(int argc, char** argv) {
         witness_mode = "text";
       } else if (arg.rfind("--witness=", 0) == 0) {
         witness_mode = arg.substr(std::string("--witness=").size());
-        if (witness_mode != "text" && witness_mode != "json" &&
-            witness_mode != "dot") {
+        if (!crsat::commands::IsWitnessMode(witness_mode)) {
           return Usage();
         }
-      } else if (arg == "--threads" && i + 1 < argc) {
-        char* end = nullptr;
-        threads = std::strtol(argv[++i], &end, 10);
-        if (end == nullptr || *end != '\0' || threads < 0) {
+      } else if (arg == "--threads") {
+        if (!ParseLong(argc, argv, &i, 0, &threads)) {
           return Usage();
         }
       } else if (!ParseGuardFlag(arg, argc, argv, &i, &guard_flags, &bad) ||
@@ -1221,17 +922,10 @@ int RealMain(int argc, char** argv) {
       if (!witness_mode.empty()) {
         return Usage();
       }
-      if (guard_flags.any) {
-        crsat::ResourceGuard guard(guard_flags.limits);
-        return RunSaturationCheck(*parsed, json, &guard);
-      }
-      return RunSaturationCheck(*parsed, json, nullptr);
+      return RunSaturationCheck(*parsed, json, guard_flags.Guard());
     }
-    if (guard_flags.any) {
-      crsat::ResourceGuard guard(guard_flags.limits);
-      return RunCheck(*parsed, json, witness_mode, &guard);
-    }
-    return RunCheck(*parsed, json, witness_mode, nullptr);
+    return Print(crsat::commands::Check(*parsed, json, witness_mode,
+                                        guard_flags.Guard()));
   }
   if (command == "expand") {
     crsat::Result<crsat::Expansion> expansion =
@@ -1260,8 +954,8 @@ int RealMain(int argc, char** argv) {
   if (command == "debug" && argc == 4) {
     return RunDebug(schema, argv[3]);
   }
-  if (command == "implies" && argc >= 4) {
-    return RunImplies(schema, argc, argv);
+  if (command == "implies") {
+    return Print(crsat::commands::Implies(schema, JoinArgs(3, argc, argv)));
   }
   if (command == "checkstate" && argc == 4) {
     return RunCheckState(*parsed, argv[3]);

@@ -67,13 +67,14 @@ int main() {
 
   // 4. Materialize a model (the constructive side of Figure 6).
   crsat::ClassId speaker = schema.FindClass("Speaker").value();
-  crsat::Result<crsat::Interpretation> model =
-      crsat::ModelBuilder::BuildModelForClass(checker, speaker);
-  if (!model.ok()) {
-    std::cerr << "model construction failed: " << model.status() << "\n";
+  crsat::Result<crsat::CertifiedWitness> witness =
+      crsat::WitnessSynthesizer(checker).Synthesize();
+  if (!witness.ok()) {
+    std::cerr << "model construction failed: " << witness.status() << "\n";
     return EXIT_FAILURE;
   }
-  std::cout << "\nA finite model populating Speaker:\n" << model->ToString();
+  std::cout << "\nA finite model populating Speaker:\n"
+            << witness->interpretation().ToString();
 
   // 5. Implication queries (Figure 7).
   crsat::ClassId discussant = schema.FindClass("Discussant").value();

@@ -132,20 +132,21 @@ int main() {
   }
 
   // Materialize a sample database state.
-  crsat::Result<crsat::Interpretation> model =
-      crsat::ModelBuilder::BuildModelForClass(checker, phd);
-  if (!model.ok()) {
-    std::cerr << "model construction failed: " << model.status() << "\n";
+  crsat::Result<crsat::CertifiedWitness> witness =
+      crsat::WitnessSynthesizer(checker).Synthesize();
+  if (!witness.ok()) {
+    std::cerr << "model construction failed: " << witness.status() << "\n";
     return EXIT_FAILURE;
   }
+  const crsat::Interpretation& model = witness->interpretation();
   crsat::ClassId course = schema.FindClass("Course").value();
   crsat::ClassId professor = schema.FindClass("Professor").value();
   std::cout << "\nSample database state populating PhDStudent: "
-            << model->domain_size() << " individuals, "
-            << model->ClassExtension(professor).size() << " professors, "
-            << model->ClassExtension(course).size() << " courses.\n";
+            << model.domain_size() << " individuals, "
+            << model.ClassExtension(professor).size() << " professors, "
+            << model.ClassExtension(course).size() << " courses.\n";
   std::cout << "Model verifies: "
-            << (crsat::ModelChecker::IsModel(schema, *model) ? "yes" : "NO")
+            << (crsat::ModelChecker::IsModel(schema, model) ? "yes" : "NO")
             << "\n";
   return EXIT_SUCCESS;
 }

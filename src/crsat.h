@@ -16,8 +16,10 @@
 ///       crsat::Expansion::Build(parsed->schema);
 ///   crsat::SatisfiabilityChecker checker(*expansion);
 ///   crsat::Result<bool> ok = checker.IsClassSatisfiable(cls);
-///   crsat::Result<crsat::Interpretation> model =
-///       crsat::ModelBuilder::BuildModelForClass(checker, cls);
+///   crsat::Result<crsat::CertifiedWitness> witness =
+///       crsat::WitnessSynthesizer(checker).Synthesize();
+///   // witness->interpretation(): a ModelChecker-certified finite model
+///   // populating every satisfiable class.
 ///
 /// Implication queries live in `ImplicationChecker`, schema debugging in
 /// `MinimizeUnsatCore`, and the ISA-free Lenzerini-Nobili baseline in
@@ -27,7 +29,8 @@
 /// harness live in `BruteForceOracle` / `RunConformance` (src/oracle/),
 /// and the graph-saturation witness engine — the harness's third voice,
 /// with classical (unrestricted-model) semantics — in `SaturationEngine`
-/// (src/saturation/).
+/// (src/saturation/). The verbs `crsat_cli` and crsatd share (check,
+/// lint, implies) live in `crsat::commands` (src/commands/).
 
 #include "src/analysis/diagnostics.h"
 #include "src/analysis/empty_classes.h"
@@ -41,8 +44,10 @@
 #include "src/base/status.h"
 #include "src/base/thread_pool.h"
 #include "src/base/incremental.h"
+#include "src/base/json.h"
 #include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
+#include "src/commands/commands.h"
 #include "src/cr/interpretation.h"
 #include "src/cr/model_checker.h"
 #include "src/cr/schema.h"
@@ -63,7 +68,6 @@
 #include "src/oracle/schema_parts.h"
 #include "src/reasoner/implication.h"
 #include "src/reasoner/implication_engine.h"
-#include "src/reasoner/model_builder.h"
 #include "src/reasoner/repair.h"
 #include "src/reasoner/satisfiability.h"
 #include "src/reasoner/system_builder.h"

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "src/generator/deterministic.h"
+#include "src/base/deterministic.h"
 
 namespace crsat {
 

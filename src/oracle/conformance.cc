@@ -11,6 +11,7 @@
 #include "src/base/degradation.h"
 #include "src/base/deterministic.h"
 #include "src/base/failpoint.h"
+#include "src/base/json.h"
 #include "src/base/resource_guard.h"
 #include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
@@ -31,29 +32,6 @@
 namespace crsat {
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 bool IsResourceLimit(StatusCode code) {
   return code == StatusCode::kResourceExhausted ||

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/generator/deterministic.h"
+#include "src/base/deterministic.h"
 #include "src/oracle/schema_parts.h"
 
 namespace crsat {

@@ -122,7 +122,8 @@ class SatisfiabilityChecker {
 
   /// The support witness scaled to integers: an acceptable nonnegative
   /// integer solution whose support is the maximal acceptable support.
-  /// Feed this to `ModelBuilder` to materialize an actual database state.
+  /// Feed this to `WitnessSynthesizer::SynthesizeFromSolution` to
+  /// materialize an actual database state.
   Result<IntegerSolution> AcceptableIntegerSolution() const;
 
   /// The dependency edges of Psi_S (each relationship unknown depends on

@@ -1,66 +1,16 @@
 #include "src/server/handlers.h"
 
-#include <cstdio>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "src/crsat.h"
+#include "src/commands/commands.h"
+#include "src/cr/schema_text.h"
 
 namespace crsat {
 namespace server {
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string escaped;
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      case '\r':
-        escaped += "\\r";
-        break;
-      default:
-        // JSON forbids raw control characters; a multi-line or
-        // control-laden status string must not corrupt the report.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  return escaped;
-}
-
-// The trip report, formatted exactly as the CLI's ReportTrip: text mode
-// mirrors its stderr, json mode its stdout.
-HandlerResult TripResult(const ResourceGuard& guard, bool json) {
-  std::ostringstream out;
-  if (json) {
-    out << "{\n  \"error\": \"" << JsonEscape(guard.TripStatus().ToString())
-        << "\",\n  \"resource\": " << guard.report().ToJson() << "\n}\n";
-  } else {
-    out << guard.TripStatus() << "\n" << guard.report().ToString() << "\n";
-  }
-  return {ResponseStatus::kResource, out.str()};
-}
 
 HandlerResult BadRequest(std::string reason) {
   if (reason.empty() || reason.back() != '\n') {
@@ -96,210 +46,19 @@ HandlerResult HandleParse(Session& session, const std::string& payload) {
   return {ResponseStatus::kOk, "parsed schema '" + name + "'\n"};
 }
 
-// kCheck (witness_mode empty) and kWitness: the text path of the CLI's
-// RunCheck, with stdout captured into the response payload.
-HandlerResult HandleCheck(Session& session, const std::string& witness_mode,
-                          ResourceGuard* guard) {
-  const NamedSchema& parsed = *session.schema;
-  const Schema& schema = parsed.schema;
-  std::optional<std::vector<bool>> satisfiable;
-  if (witness_mode.empty()) {
-    Result<std::optional<std::vector<bool>>> fast =
-        TryLnSatisfiableClasses(schema);
-    if (!fast.ok()) {
-      return {ResponseStatus::kFindings, fast.status().ToString() + "\n"};
-    }
-    satisfiable = std::move(fast.value());
+// The status/payload mapping documented on `HandleRequest`.
+HandlerResult FromCommand(commands::CommandResult result) {
+  switch (result.exit_code) {
+    case commands::kExitOk:
+      return {ResponseStatus::kOk, std::move(result.out)};
+    case commands::kExitFindings:
+      return {ResponseStatus::kFindings, std::move(result.out)};
+    case commands::kExitUsage:
+      return {ResponseStatus::kBadRequest, std::move(result.err)};
+    default:
+      return {ResponseStatus::kResource,
+              std::move(result.err.empty() ? result.out : result.err)};
   }
-  std::optional<Expansion> expansion;
-  std::optional<SatisfiabilityChecker> checker;
-  std::vector<bool> known_empty;
-  if (!satisfiable.has_value()) {
-    known_empty = ComputeProvablyEmpty(schema).class_empty;
-    ExpansionOptions options;
-    options.guard = guard;
-    options.known_empty_classes = &known_empty;
-    Result<Expansion> built = Expansion::Build(schema, options);
-    if (!built.ok()) {
-      if (guard != nullptr && guard->tripped()) {
-        return TripResult(*guard, /*json=*/false);
-      }
-      return {IsResourceLimitStatus(built.status().code())
-                  ? ResponseStatus::kResource
-                  : ResponseStatus::kFindings,
-              built.status().ToString() + "\n"};
-    }
-    expansion.emplace(std::move(built.value()));
-    checker.emplace(*expansion);
-    checker->SetKnownEmptyClasses(known_empty);
-    Result<std::vector<bool>> verdicts = checker->SatisfiableClasses();
-    if (!verdicts.ok()) {
-      if (guard != nullptr && guard->tripped()) {
-        return TripResult(*guard, /*json=*/false);
-      }
-      return {IsResourceLimitStatus(verdicts.status().code())
-                  ? ResponseStatus::kResource
-                  : ResponseStatus::kFindings,
-              verdicts.status().ToString() + "\n"};
-    }
-    satisfiable.emplace(std::move(verdicts.value()));
-  }
-  bool all_ok = true;
-  bool any_satisfiable = false;
-  for (ClassId cls : schema.AllClasses()) {
-    all_ok = all_ok && (*satisfiable)[cls.value];
-    any_satisfiable = any_satisfiable || (*satisfiable)[cls.value];
-  }
-
-  std::optional<CertifiedWitness> witness;
-  bool witness_downgraded = false;
-  if (!witness_mode.empty() && any_satisfiable) {
-    WitnessSynthesizer synthesizer(*checker);
-    WitnessOptions witness_options;
-    witness_options.guard = guard;
-    witness_options.source_map = &parsed.source_map;
-    Result<CertifiedWitness> result = synthesizer.Synthesize(witness_options);
-    if (result.ok()) {
-      witness.emplace(std::move(result.value()));
-    } else if (IsResourceLimitStatus(result.status().code())) {
-      // The verdict predates the trip and stands (the CLI reports the
-      // trip on stderr; the response payload carries only the stdout
-      // text, so parity holds).
-      witness_downgraded = true;
-    } else {
-      return {ResponseStatus::kFindings, result.status().ToString() + "\n"};
-    }
-  }
-
-  std::ostringstream out;
-  for (ClassId cls : schema.AllClasses()) {
-    const bool ok = (*satisfiable)[cls.value];
-    out << (ok ? "  satisfiable    " : "  UNSATISFIABLE  ")
-        << schema.ClassName(cls) << "\n";
-  }
-  out << (all_ok ? "schema is strongly satisfiable"
-                 : "schema has unpopulatable classes (see 'debug')")
-      << "\n";
-  if (witness.has_value()) {
-    if (witness_mode == "json") {
-      out << WitnessToJson(*witness) << "\n";
-    } else if (witness_mode == "dot") {
-      out << WitnessToDot(*witness);
-    } else {
-      out << "witness (certified): " << witness->stats().individuals
-          << " individual(s), " << witness->stats().tuples << " tuple(s)\n"
-          << witness->interpretation().ToString();
-    }
-  } else if (!witness_mode.empty() && !witness_downgraded) {
-    out << "no witness: no class is satisfiable\n";
-  }
-  return {all_ok ? ResponseStatus::kOk : ResponseStatus::kFindings,
-          out.str()};
-}
-
-HandlerResult HandleLint(Session& session, bool json, ResourceGuard* guard) {
-  // The CLI lints a *leniently* re-parsed schema so empty ranges reach
-  // the empty-range rule; re-parse the stored text the same way.
-  ParseSchemaOptions options;
-  options.permit_empty_ranges = true;
-  Result<NamedSchema> parsed = ParseSchema(session.schema_text, options);
-  if (!parsed.ok()) {
-    // The one-shot CLI reports a lint parse failure on *stderr* with
-    // exit 1; the payload mirrors stdout bytes, so it stays empty (the
-    // parse error text already went out on this session's parse reply).
-    return {ResponseStatus::kFindings, ""};
-  }
-  LintOptions lint_options;
-  lint_options.guard = guard;
-  std::vector<Diagnostic> diagnostics = RunLint(*parsed, lint_options);
-  if (guard != nullptr && guard->tripped()) {
-    return TripResult(*guard, json);
-  }
-  std::ostringstream out;
-  if (json) {
-    out << DiagnosticsToJson(diagnostics) << "\n";
-  } else {
-    int errors = 0, warnings = 0, notes = 0;
-    for (const Diagnostic& diagnostic : diagnostics) {
-      out << FormatDiagnostic(diagnostic, session.display_name) << "\n";
-      switch (diagnostic.severity) {
-        case Severity::kError:
-          ++errors;
-          break;
-        case Severity::kWarning:
-          ++warnings;
-          break;
-        case Severity::kNote:
-          ++notes;
-          break;
-      }
-    }
-    if (diagnostics.empty()) {
-      out << "schema '" << parsed->name << "': no findings\n";
-    } else {
-      out << errors << " error(s), " << warnings << " warning(s), " << notes
-          << " note(s)\n";
-    }
-  }
-  return {HasErrors(diagnostics) ? ResponseStatus::kFindings
-                                 : ResponseStatus::kOk,
-          out.str()};
-}
-
-HandlerResult HandleImplications(Session& session,
-                                 const std::string& payload) {
-  const Schema& schema = session.schema->schema;
-  std::istringstream in(payload);
-  std::string mode;
-  in >> mode;
-  auto resolve = [&schema](const std::string& name,
-                           std::optional<ClassId>* out) {
-    std::optional<ClassId> cls = schema.FindClass(name);
-    *out = cls;
-    return cls.has_value();
-  };
-  if (mode == "isa") {
-    std::string sub_name, super_name;
-    in >> sub_name >> super_name;
-    std::optional<ClassId> sub, super;
-    if (sub_name.empty() || super_name.empty() || !resolve(sub_name, &sub) ||
-        !resolve(super_name, &super)) {
-      return BadRequest("implications isa: unknown class");
-    }
-    Result<bool> implied = ImplicationChecker::ImpliesIsa(schema, *sub, *super);
-    if (!implied.ok()) {
-      return BadRequest(implied.status().ToString());
-    }
-    std::ostringstream out;
-    out << sub_name << " <= " << super_name << ": "
-        << (*implied ? "implied" : "not implied") << "\n";
-    return {ResponseStatus::kOk, out.str()};
-  }
-  if (mode == "card") {
-    std::string class_name, rel_name, role_name;
-    in >> class_name >> rel_name >> role_name;
-    std::optional<ClassId> cls;
-    std::optional<RelationshipId> rel = schema.FindRelationship(rel_name);
-    std::optional<RoleId> role = schema.FindRole(role_name);
-    if (class_name.empty() || !resolve(class_name, &cls) ||
-        !rel.has_value() || !role.has_value()) {
-      return BadRequest("implications card: unknown class, relationship "
-                        "or role");
-    }
-    Result<std::uint64_t> min =
-        ImplicationChecker::TightestImpliedMin(schema, *cls, *rel, *role);
-    Result<std::optional<std::uint64_t>> max =
-        ImplicationChecker::TightestImpliedMax(schema, *cls, *rel, *role);
-    if (!min.ok() || !max.ok()) {
-      return BadRequest((min.ok() ? max.status() : min.status()).ToString());
-    }
-    std::ostringstream out;
-    out << "tightest implied cardinality of (" << class_name << ", "
-        << rel_name << ", " << role_name << "): (" << *min << ", "
-        << (max->has_value() ? std::to_string(**max) : "*") << ")\n";
-    return {ResponseStatus::kOk, out.str()};
-  }
-  return BadRequest("implications payload must start with 'isa' or 'card'");
 }
 
 }  // namespace
@@ -330,22 +89,27 @@ HandlerResult HandleRequest(Session& session, const Frame& request,
   ResourceGuard* guard_ptr = guard.has_value() ? &*guard : nullptr;
   switch (type) {
     case RequestType::kCheck:
-      return HandleCheck(session, /*witness_mode=*/"", guard_ptr);
+      return FromCommand(commands::Check(*session.schema, /*json=*/false,
+                                         /*witness_mode=*/"", guard_ptr));
     case RequestType::kWitness: {
-      std::string mode = request.payload.empty() ? "text" : request.payload;
-      if (mode != "text" && mode != "json" && mode != "dot") {
+      const std::string mode =
+          request.payload.empty() ? "text" : request.payload;
+      if (!commands::IsWitnessMode(mode)) {
         return BadRequest("witness mode must be text, json or dot");
       }
-      return HandleCheck(session, mode, guard_ptr);
+      return FromCommand(
+          commands::Check(*session.schema, /*json=*/false, mode, guard_ptr));
     }
-    case RequestType::kLint: {
+    case RequestType::kLint:
       if (!request.payload.empty() && request.payload != "json") {
         return BadRequest("lint payload must be empty or \"json\"");
       }
-      return HandleLint(session, request.payload == "json", guard_ptr);
-    }
+      return FromCommand(commands::Lint(session.display_name,
+                                        session.schema_text,
+                                        request.payload == "json", guard_ptr));
     case RequestType::kImplications:
-      return HandleImplications(session, request.payload);
+      return FromCommand(
+          commands::Implies(session.schema->schema, request.payload));
     case RequestType::kParse:
     case RequestType::kStats:
     case RequestType::kShutdown:

@@ -11,8 +11,7 @@ namespace crsat {
 namespace server {
 
 /// Outcome of one schema request: the response status byte plus the
-/// response payload (for kOk/kFindings, the exact stdout text the
-/// one-shot CLI would have printed; otherwise a human-readable reason).
+/// response payload (see `HandleRequest` for what the payload holds).
 struct HandlerResult {
   ResponseStatus status = ResponseStatus::kOk;
   std::string payload;
@@ -23,13 +22,25 @@ struct HandlerResult {
 /// `ResourceGuard` built from the frame's budget headers clamped by the
 /// server-wide `caps` (protocol.h `ClampBudget`).
 ///
-/// Parity contract (tests/server_test.cc, tools/server_smoke.sh): for
-/// kCheck/kLint/kWitness the kOk/kFindings payload is byte-identical to
-/// the stdout of `crsat_cli check|lint|check --witness=M` on the same
-/// schema text, because both run the same library pipeline and the same
-/// formatting code. A guard trip returns kResource with the trip report
-/// as payload — the degradation ladder's honest UNKNOWN, never a guessed
-/// verdict.
+/// `check`, `witness`, `lint` and `implications` run the verbs of
+/// src/commands/commands.h, the same functions `crsat_cli` runs for
+/// `check [--witness=M]`, `lint [--json]` and `implies`. The verb's exit
+/// code picks the status and its output streams the payload:
+///
+///   exit 0 -> kOk,         payload = stdout text
+///   exit 1 -> kFindings,   payload = stdout text
+///   exit 2 -> kBadRequest, payload = stderr text
+///   exit 3 -> kResource,   payload = stderr text, or stdout when the
+///                          verb wrote its trip report there (`lint`
+///                          with the "json" payload)
+///
+/// So a kOk/kFindings payload is byte-identical to the one-shot CLI's
+/// stdout by construction (tests/server_test.cc, tools/server_smoke.sh).
+/// Stderr notes beside a verdict, such as a witness dropped by a resource
+/// limit, and the text of a failure the CLI reports only on stderr, are
+/// not carried: such a failure arrives as kFindings with an empty
+/// payload. A guard trip is kResource, the degradation ladder's honest
+/// UNKNOWN, never a guessed verdict.
 ///
 /// `stats` and `shutdown` are service-level requests handled by the
 /// server itself, not here; routing one in returns kBadRequest.

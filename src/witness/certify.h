@@ -54,7 +54,7 @@ class CertifiedWitness {
   const WitnessStats& stats() const { return stats_; }
 
   /// Moves the interpretation out (for callers that only need the model,
-  /// e.g. the legacy `ModelBuilder` facade).
+  /// e.g. the conformance harness's witness cross-check).
   Interpretation&& TakeInterpretation() && {
     return std::move(interpretation_);
   }

@@ -4,48 +4,11 @@
 // whose size was capped by WitnessOptions::max_model_size before the
 // synthesis stages would materialize it.
 
-#include <cstdio>
 #include <vector>
 
+#include "src/base/json.h"
+
 namespace crsat {
-
-namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string WitnessToJson(const CertifiedWitness& witness) {
   const Interpretation& interpretation = witness.interpretation();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/json.h"
 #include "src/base/result.h"
 #include "src/base/status.h"
 #include "src/base/string_util.h"
@@ -145,6 +146,31 @@ TEST(IdsTest, StreamInsertion) {
   std::ostringstream os;
   os << ClassId(5);
   EXPECT_EQ(os.str(), "5");
+}
+
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndEveryControlByte) {
+  struct Case {
+    std::string input;
+    std::string escaped;
+  };
+  const Case cases[] = {
+      {"", ""},
+      {"plain text", "plain text"},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"C:\\dir", "C:\\\\dir"},
+      {"a\nb", "a\\nb"},
+      {"a\rb", "a\\rb"},
+      {"a\tb", "a\\tb"},
+      {std::string("nul\0byte", 8), "nul\\u0000byte"},
+      {"\x01\x1f", "\\u0001\\u001f"},
+      {"\x1b[0m", "\\u001b[0m"},
+      {"\x7f", "\x7f"},              // DEL is not a control byte in JSON.
+      {"caf\xc3\xa9", "caf\xc3\xa9"},  // UTF-8 passes through.
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(JsonEscape(c.input), c.escaped) << c.escaped;
+  }
 }
 
 }  // namespace

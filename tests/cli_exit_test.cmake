@@ -1,7 +1,8 @@
 # Exercises the crsat_cli exit-code contract end to end:
 #   0  success, no findings
 #   1  findings (unsatisfiable classes, lint diagnostics) or failure
-#   2  usage error (bad subcommand, malformed flag value)
+#   2  usage error (bad subcommand, malformed flag value, an implies
+#      query naming an unknown class, relationship or role)
 #   3  resource limit tripped (deadline / compound budget / memory budget)
 #
 # Run as: cmake -DCRSAT_CLI=<binary> -DCRSAT_SOURCE_DIR=<repo> -P this-file
@@ -43,6 +44,13 @@ expect_exit(0 check "${SCHEMAS}/meeting.cr" --timeout-ms 60000
 expect_exit(1 check "${SCHEMAS}/figure1.cr")
 expect_exit(1 lint "${SCHEMAS}/lint_demo.cr")
 expect_exit(1 check "${SCHEMAS}/no_such_file.cr")
+expect_exit(1 model "${SCHEMAS}/figure1.cr" C)
+
+# implies: an answered query is 0; an unknown name or a wrong word count
+# is a bad request (2), the same code crsatd's client exits with.
+expect_exit(0 implies "${SCHEMAS}/meeting.cr" isa Speaker Discussant)
+expect_exit(2 implies "${SCHEMAS}/meeting.cr" isa Nope Speaker)
+expect_exit(2 implies "${SCHEMAS}/meeting.cr" card Discussant Holds)
 
 # --witness keeps the verdict-driven exit code: certified witness on a
 # satisfiable schema, nothing to witness on an all-unsat one, and bad

@@ -40,8 +40,9 @@ TEST(IntegrationTest, PaperNarrativeEndToEnd) {
   // Section 3.3 / Theorem 3.3: Speaker is satisfiable; Figure 6's model.
   ClassId speaker = schema.FindClass("Speaker").value();
   EXPECT_TRUE(checker.IsClassSatisfiable(speaker).value());
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker, speaker).value();
+  const CertifiedWitness witness =
+      WitnessSynthesizer(checker).Synthesize().value();
+  const Interpretation& model = witness.interpretation();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   EXPECT_FALSE(model.ClassExtension(speaker).empty());
 
@@ -140,9 +141,10 @@ TEST(IntegrationTest, RoundTripModelThroughToString) {
   Expansion expansion = Expansion::Build(parsed.schema).value();
   SatisfiabilityChecker checker(expansion);
   ClassId talk = parsed.schema.FindClass("Talk").value();
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker, talk).value();
-  std::string rendered = model.ToString();
+  const CertifiedWitness witness =
+      WitnessSynthesizer(checker).Synthesize().value();
+  EXPECT_FALSE(witness.interpretation().ClassExtension(talk).empty());
+  std::string rendered = witness.interpretation().ToString();
   EXPECT_NE(rendered.find("Speaker = {"), std::string::npos);
   EXPECT_NE(rendered.find("Holds = {"), std::string::npos);
 }

@@ -1,58 +1,51 @@
-#include "src/reasoner/model_builder.h"
+// The constructive half of Section 3.3 on fixed schemas: full synthesis
+// from the checker (the Figure 6 meeting model, degree balancing, a
+// ternary relationship) and stages 2-3 of WitnessSynthesizer from
+// hand-built integer solutions (zero solution, size mismatch, an
+// unacceptable solution, duplicate-tuple collisions, the size cap).
 
 #include <gtest/gtest.h>
 
 #include "src/cr/model_checker.h"
+#include "src/reasoner/satisfiability.h"
+#include "src/witness/integer_solution.h"
+#include "src/witness/witness.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
 namespace {
 
-using crsat::testing::EmploymentSchema;
-using crsat::testing::Figure1Schema;
-using crsat::testing::MeetingSchema;
+using ::crsat::testing::EmploymentSchema;
+using ::crsat::testing::MeetingSchema;
 
-TEST(ModelBuilderTest, MeetingModelRealizesFigure6Shape) {
+TEST(ConstructiveModelTest, MeetingWitnessRealizesFigure6Shape) {
   // The paper's Figure 6 derives a model with 2 speaker-discussants and 2
   // talks from the solution of the disequation system. Our witness may
-  // scale differently but must be a verified model populating Speaker.
+  // scale differently but must populate every class of the schema.
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker,
-                                       schema.FindClass("Speaker").value())
-          .value();
+  const CertifiedWitness witness =
+      WitnessSynthesizer(checker).Synthesize().value();
+  const Interpretation& model = witness.interpretation();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
-  ClassId speaker = schema.FindClass("Speaker").value();
-  ClassId discussant = schema.FindClass("Discussant").value();
-  ClassId talk = schema.FindClass("Talk").value();
-  EXPECT_FALSE(model.ClassExtension(speaker).empty());
-  EXPECT_FALSE(model.ClassExtension(talk).empty());
+  for (ClassId cls : schema.AllClasses()) {
+    EXPECT_FALSE(model.ClassExtension(cls).empty()) << schema.ClassName(cls);
+  }
   // The schema forces speakers == discussants (Figure 7).
-  EXPECT_EQ(model.ClassExtension(speaker), model.ClassExtension(discussant));
+  EXPECT_EQ(model.ClassExtension(schema.FindClass("Speaker").value()),
+            model.ClassExtension(schema.FindClass("Discussant").value()));
 }
 
-TEST(ModelBuilderTest, BuildModelForUnsatisfiableClassFails) {
-  Schema schema = Figure1Schema();
-  Expansion expansion = Expansion::Build(schema).value();
-  SatisfiabilityChecker checker(expansion);
-  Result<Interpretation> result = ModelBuilder::BuildModelForClass(
-      checker, schema.FindClass("C").value());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ModelBuilderTest, EmploymentModelBalancesDegrees) {
+TEST(ConstructiveModelTest, EmploymentWitnessBalancesDegrees) {
   // Every employee in exactly one department; departments need >= 3
   // employees: the witness must respect both.
   Schema schema = EmploymentSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(
-          checker, schema.FindClass("Department").value())
-          .value();
+  const CertifiedWitness witness =
+      WitnessSynthesizer(checker).Synthesize().value();
+  const Interpretation& model = witness.interpretation();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   ClassId department = schema.FindClass("Department").value();
   ClassId employee = schema.FindClass("Employee").value();
@@ -61,27 +54,52 @@ TEST(ModelBuilderTest, EmploymentModelBalancesDegrees) {
             3 * model.ClassExtension(department).size());
 }
 
-TEST(ModelBuilderTest, ZeroSolutionYieldsEmptyModel) {
+TEST(ConstructiveModelTest, TernaryRelationshipRealized) {
+  SchemaBuilder builder;
+  builder.AddClass("A");
+  builder.AddClass("B");
+  builder.AddClass("C");
+  builder.AddRelationship("T", {{"U", "A"}, {"V", "B"}, {"W", "C"}});
+  builder.SetCardinality("A", "T", "U", {1, 2});
+  builder.SetCardinality("B", "T", "V", {1, 1});
+  builder.SetCardinality("C", "T", "W", {1, 3});
+  Schema schema = builder.Build().value();
+  Expansion expansion = Expansion::Build(schema).value();
+  SatisfiabilityChecker checker(expansion);
+  const CertifiedWitness witness =
+      WitnessSynthesizer(checker).Synthesize().value();
+  EXPECT_TRUE(ModelChecker::IsModel(schema, witness.interpretation()));
+  EXPECT_FALSE(witness.interpretation()
+                   .ClassExtension(schema.FindClass("A").value())
+                   .empty());
+  EXPECT_FALSE(witness.interpretation()
+                   .RelationshipExtension(schema.FindRelationship("T").value())
+                   .empty());
+}
+
+TEST(SynthesizeFromSolutionTest, ZeroSolutionYieldsEmptyModel) {
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   IntegerSolution zeros;
   zeros.class_counts.assign(expansion.classes().size(), BigInt(0));
   zeros.rel_counts.assign(expansion.relationships().size(), BigInt(0));
-  Interpretation model = ModelBuilder::BuildModel(expansion, zeros).value();
-  EXPECT_EQ(model.domain_size(), 0);
-  EXPECT_TRUE(ModelChecker::IsModel(schema, model));
+  const CertifiedWitness witness =
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, zeros).value();
+  EXPECT_EQ(witness.interpretation().domain_size(), 0);
+  EXPECT_TRUE(ModelChecker::IsModel(schema, witness.interpretation()));
 }
 
-TEST(ModelBuilderTest, MismatchedSolutionSizeRejected) {
+TEST(SynthesizeFromSolutionTest, MismatchedSolutionSizeRejected) {
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   IntegerSolution bad;
   bad.class_counts.assign(1, BigInt(0));
   bad.rel_counts.assign(expansion.relationships().size(), BigInt(0));
-  EXPECT_FALSE(ModelBuilder::BuildModel(expansion, bad).ok());
+  EXPECT_FALSE(
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, bad).ok());
 }
 
-TEST(ModelBuilderTest, UnacceptableSolutionRejected) {
+TEST(SynthesizeFromSolutionTest, UnacceptableSolutionRejected) {
   // Tuples in a compound relationship whose component class is empty.
   SchemaBuilder builder;
   builder.AddClass("A");
@@ -93,16 +111,16 @@ TEST(ModelBuilderTest, UnacceptableSolutionRejected) {
   solution.class_counts.assign(expansion.classes().size(), BigInt(0));
   solution.rel_counts.assign(expansion.relationships().size(), BigInt(0));
   solution.rel_counts[0] = BigInt(1);
-  Result<Interpretation> result =
-      ModelBuilder::BuildModel(expansion, solution);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  Result<CertifiedWitness> witness =
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, solution);
+  ASSERT_FALSE(witness.ok());
+  EXPECT_EQ(witness.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ModelBuilderTest, DuplicateCollisionsResolvedByFlowOrScaling) {
+TEST(SynthesizeFromSolutionTest, DuplicateCollisionsResolvedByFlowOrScaling) {
   // One A, one B, and R pairing them with multiplicity exactly 2 on both
   // sides: at scale 1 the only candidate extension would need the tuple
-  // (a, b) twice — impossible for a set. The builder must scale the
+  // (a, b) twice — impossible for a set. Synthesis must scale the
   // solution and realize 2 A's, 2 B's, 4 tuples (or similar).
   SchemaBuilder builder;
   builder.AddClass("A");
@@ -133,60 +151,27 @@ TEST(ModelBuilderTest, DuplicateCollisionsResolvedByFlowOrScaling) {
   ASSERT_GE(rel_index, 0);
   cramped.rel_counts[rel_index] = BigInt(2);
 
-  Interpretation model = ModelBuilder::BuildModel(expansion, cramped).value();
+  const CertifiedWitness witness =
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, cramped).value();
+  const Interpretation& model = witness.interpretation();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
-  ClassId a = schema.FindClass("A").value();
-  RelationshipId r = schema.FindRelationship("R").value();
-  EXPECT_GE(model.ClassExtension(a).size(), 2u);
-  EXPECT_GE(model.RelationshipExtension(r).size(), 4u);
+  EXPECT_GE(model.ClassExtension(schema.FindClass("A").value()).size(), 2u);
+  EXPECT_GE(
+      model.RelationshipExtension(schema.FindRelationship("R").value()).size(),
+      4u);
 }
 
-TEST(ModelBuilderTest, TernaryRelationshipRealized) {
-  SchemaBuilder builder;
-  builder.AddClass("A");
-  builder.AddClass("B");
-  builder.AddClass("C");
-  builder.AddRelationship("T", {{"U", "A"}, {"V", "B"}, {"W", "C"}});
-  builder.SetCardinality("A", "T", "U", {1, 2});
-  builder.SetCardinality("B", "T", "V", {1, 1});
-  builder.SetCardinality("C", "T", "W", {1, 3});
-  Schema schema = builder.Build().value();
-  Expansion expansion = Expansion::Build(schema).value();
-  SatisfiabilityChecker checker(expansion);
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker,
-                                       schema.FindClass("A").value())
-          .value();
-  EXPECT_TRUE(ModelChecker::IsModel(schema, model));
-  EXPECT_FALSE(
-      model.RelationshipExtension(schema.FindRelationship("T").value())
-          .empty());
-}
-
-TEST(ModelBuilderTest, SizeCapEnforced) {
+TEST(SynthesizeFromSolutionTest, SizeCapEnforced) {
   Schema schema = EmploymentSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
   IntegerSolution solution = checker.AcceptableIntegerSolution().value();
-  ModelBuildOptions options;
+  WitnessOptions options;
   options.max_model_size = 1;  // Far below any witness for this schema.
-  Result<Interpretation> result =
-      ModelBuilder::BuildModel(expansion, solution, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-}
-
-TEST(ModelBuilderTest, ModelsForEveryMeetingClassVerify) {
-  Schema schema = MeetingSchema();
-  Expansion expansion = Expansion::Build(schema).value();
-  SatisfiabilityChecker checker(expansion);
-  for (ClassId cls : schema.AllClasses()) {
-    Interpretation model =
-        ModelBuilder::BuildModelForClass(checker, cls).value();
-    EXPECT_TRUE(ModelChecker::IsModel(schema, model))
-        << schema.ClassName(cls);
-    EXPECT_FALSE(model.ClassExtension(cls).empty()) << schema.ClassName(cls);
-  }
+  Result<CertifiedWitness> witness =
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, solution, options);
+  ASSERT_FALSE(witness.ok());
+  EXPECT_EQ(witness.status().code(), StatusCode::kUnavailable);
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 #include "src/cr/model_checker.h"
 #include "src/generator/random_schema.h"
 #include "src/reasoner/implication.h"
-#include "src/reasoner/model_builder.h"
 #include "src/reasoner/repair.h"
 #include "src/reasoner/satisfiability.h"
 #include "src/reasoner/unsat_core.h"
+#include "src/witness/witness.h"
 
 namespace crsat {
 namespace {
@@ -67,17 +67,17 @@ TEST_P(SatisfiableMeansModelExistsTest, WitnessModelsVerify) {
   // One witness model realizes the full support: every satisfiable class
   // must be populated in it, every unsatisfiable class empty.
   IntegerSolution solution = checker.AcceptableIntegerSolution().value();
-  ModelBuildOptions options;
+  WitnessOptions options;
   options.max_model_size = 2000000;
-  Result<Interpretation> model =
-      ModelBuilder::BuildModel(expansion, solution, options);
-  ASSERT_TRUE(model.ok()) << "seed " << params.seed << ": "
-                          << model.status().message();
-  EXPECT_TRUE(ModelChecker::IsModel(schema, model.value()))
-      << "seed " << params.seed;
+  Result<CertifiedWitness> witness =
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, solution, options);
+  ASSERT_TRUE(witness.ok()) << "seed " << params.seed << ": "
+                            << witness.status().message();
+  const Interpretation& model = witness->interpretation();
+  EXPECT_TRUE(ModelChecker::IsModel(schema, model)) << "seed " << params.seed;
   for (int c = 0; c < schema.num_classes(); ++c) {
     bool populated =
-        !model.value().ClassExtension(ClassId(c)).empty();
+        !model.ClassExtension(ClassId(c)).empty();
     EXPECT_EQ(populated, static_cast<bool>(satisfiable[c]))
         << "class " << schema.ClassName(ClassId(c)) << ", seed "
         << params.seed;
@@ -126,14 +126,14 @@ TEST_P(TernaryRelationshipTest, PipelineHandlesHigherArity) {
   SatisfiabilityChecker checker(expansion);
   std::vector<bool> satisfiable = checker.SatisfiableClasses().value();
   IntegerSolution solution = checker.AcceptableIntegerSolution().value();
-  ModelBuildOptions options;
+  WitnessOptions options;
   options.max_model_size = 2000000;
-  Result<Interpretation> model =
-      ModelBuilder::BuildModel(expansion, solution, options);
-  ASSERT_TRUE(model.ok()) << "seed " << params.seed << ": "
-                          << model.status().message();
-  EXPECT_TRUE(ModelChecker::IsModel(schema, model.value()))
-      << "seed " << params.seed;
+  Result<CertifiedWitness> witness =
+      WitnessSynthesizer::SynthesizeFromSolution(expansion, solution, options);
+  ASSERT_TRUE(witness.ok()) << "seed " << params.seed << ": "
+                            << witness.status().message();
+  const Interpretation& model = witness->interpretation();
+  EXPECT_TRUE(ModelChecker::IsModel(schema, model)) << "seed " << params.seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TernaryRelationshipTest,

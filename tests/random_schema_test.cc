@@ -92,7 +92,7 @@ TEST(RandomSchemaTest, InvalidParamsRejected) {
 }
 
 // Golden digest over a parameter sweep. The generator draws through
-// DeterministicRng (src/generator/deterministic.h), whose bounded-draw
+// DeterministicRng (src/base/deterministic.h), whose bounded-draw
 // algorithm is pinned down to the bit — unlike
 // std::uniform_int_distribution, whose mapping from engine output to
 // range is implementation-defined and differs across standard libraries.

@@ -454,10 +454,16 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
   // every request type, at every concurrency level.
   const std::vector<std::string> schemas = {"university.cr", "figure1.cr",
                                             "meeting.cr"};
+  // One implication query per schema, in the word form both paths take.
+  const std::map<std::string, std::string> implies_queries = {
+      {"university.cr", "isa PhDStudent Person"},
+      {"figure1.cr", "isa D C"},
+      {"meeting.cr", "card Discussant Holds U1"}};
   struct Expected {
     CliRun check;
     CliRun lint;
     CliRun witness;
+    CliRun implies;
   };
   std::map<std::string, Expected> expected;
   for (const std::string& name : schemas) {
@@ -465,6 +471,8 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
     e.check = RunCli("check " + Schema(name));
     e.lint = RunCli("lint " + Schema(name));
     e.witness = RunCli("check " + Schema(name) + " --witness=text");
+    e.implies =
+        RunCli("implies " + Schema(name) + " " + implies_queries.at(name));
   }
 
   Server daemon(TestOptions());
@@ -493,6 +501,8 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
           auto check = client.Call(RequestType::kCheck, "");
           auto lint = client.Call(RequestType::kLint, "");
           auto witness = client.Call(RequestType::kWitness, "text");
+          auto implies = client.Call(RequestType::kImplications,
+                                     implies_queries.at(name));
           if (!check.ok() || check->payload != e.check.out ||
               static_cast<int>(check->status) != e.check.exit_code) {
             ++mismatches;
@@ -502,6 +512,10 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
           }
           if (!witness.ok() || witness->payload != e.witness.out ||
               static_cast<int>(witness->status) != e.witness.exit_code) {
+            ++mismatches;
+          }
+          if (!implies.ok() || implies->payload != e.implies.out ||
+              static_cast<int>(implies->status) != e.implies.exit_code) {
             ++mismatches;
           }
         }

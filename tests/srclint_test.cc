@@ -101,10 +101,14 @@ TEST(SrclintTokenizerTest, TracksLineNumbers) {
 
 TEST(SrclintRuleTest, LayeringViolationCaught) {
   std::vector<Finding> findings = CheckTree(Testdata("layering_violation"));
-  ASSERT_FALSE(findings.empty());
+  ASSERT_EQ(findings.size(), 2u);
   EXPECT_EQ(findings[0].rule, "include-layering");
   EXPECT_EQ(findings[0].file, "src/oracle/peek.cc");
   EXPECT_EQ(findings[0].line, 2);
+  // The shared verb layer (src/commands/) sits above the reasoner.
+  EXPECT_EQ(findings[1].rule, "include-layering");
+  EXPECT_EQ(findings[1].file, "src/reasoner/verbs.cc");
+  EXPECT_EQ(findings[1].line, 3);
 }
 
 TEST(SrclintRuleTest, LayeringCleanPasses) {

@@ -63,6 +63,20 @@ mix_for() {
   echo "lint $schema --json|lint $schema --json"
   echo "witness $schema text|check $schema --witness=text"
   echo "witness $schema dot|check $schema --witness=dot"
+  # implies needs names from the schema: the paper's Figure 7 inferences
+  # on meeting.cr (and one unknown class, a bad request on both paths),
+  # plus an ISA chain and a tight bound on university.cr.
+  local implies=()
+  case $(basename "$schema") in
+    meeting.cr)
+      implies=("isa Speaker Discussant" "card Discussant Holds U1"
+               "isa Nope Speaker") ;;
+    university.cr)
+      implies=("isa PhDStudent Person" "card Professor Teaches teacher") ;;
+  esac
+  for query in "${implies[@]}"; do
+    echo "implies $schema $query|implies $schema $query"
+  done
 }
 
 # Reference pass: record the one-shot CLI's stdout + exit per mix entry,

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/base/json.h"
+
 namespace srclint {
 
 namespace {
@@ -283,11 +285,15 @@ constexpr LayerRule kLayering[] = {
     // the bare CR semantics — an lp/ or reasoner/ include would let the
     // engines share a bug and hollow out the vote.
     {"saturation", "base cr"},
+    // The verbs crsat_cli and crsatd share: a layer over the production
+    // stack that nothing below it may include.
+    {"commands", "base math cr analysis expansion lp flow reasoner witness "
+                 "baseline"},
     // The crsatd daemon: a leaf over the whole production stack. The
     // reverse direction — reasoning code including server/ — is the
     // server-layering rule below.
     {"server", "base math cr analysis expansion lp flow reasoner witness "
-               "baseline"},
+               "baseline commands"},
 };
 
 // Files exempt from the layering rule: the public umbrella header and
@@ -941,41 +947,6 @@ std::string FindingsToText(const std::vector<Finding>& findings) {
   return out;
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string FindingsToJson(const std::vector<Finding>& findings) {
   std::string out = "{\"findings\": [";
   bool first = true;
@@ -984,10 +955,10 @@ std::string FindingsToJson(const std::vector<Finding>& findings) {
       out += ", ";
     }
     first = false;
-    out += "{\"file\": \"" + JsonEscape(finding.file) +
+    out += "{\"file\": \"" + crsat::JsonEscape(finding.file) +
            "\", \"line\": " + std::to_string(finding.line) + ", \"rule\": \"" +
-           JsonEscape(finding.rule) + "\", \"message\": \"" +
-           JsonEscape(finding.message) + "\"}";
+           crsat::JsonEscape(finding.rule) + "\", \"message\": \"" +
+           crsat::JsonEscape(finding.message) + "\"}";
   }
   out += "], \"count\": " + std::to_string(findings.size()) + "}";
   return out;
