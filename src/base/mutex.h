@@ -9,6 +9,7 @@
 // `MutexLock` through `std::condition_variable_any` (any BasicLockable),
 // so waits keep the scoped capability visible to the analysis.
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -63,6 +64,11 @@ class CRSAT_SCOPED_CAPABILITY MutexLock {
 class CondVar {
  public:
   void Wait(MutexLock& lock) { cv_.wait(lock); }
+  /// `Wait` that gives up at `deadline`; false when it timed out.
+  bool WaitUntil(MutexLock& lock,
+                 std::chrono::steady_clock::time_point deadline) {
+    return cv_.wait_until(lock, deadline) == std::cv_status::no_timeout;
+  }
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

@@ -1,5 +1,6 @@
 #include "src/base/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -12,9 +13,11 @@ namespace crsat {
 
 namespace {
 
-// Set for the lifetime of a pool worker thread; ParallelFor calls issued
-// from such a thread run inline instead of re-entering the queue.
-thread_local bool tls_inside_pool_worker = false;
+// Set for the lifetime of a pool worker thread, and on a ParallelFor
+// caller while it drains its own loop; ParallelFor calls issued from
+// such a thread run inline instead of re-entering the queue, so nested
+// loops never take more than the pool's parallelism.
+thread_local bool tls_on_pool_lane = false;
 
 }  // namespace
 
@@ -57,8 +60,8 @@ struct ThreadPool::ForState {
 
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(num_threads < 1 ? 1 : num_threads) {
-  workers_.reserve(num_threads_ - 1);
-  for (int i = 0; i < num_threads_ - 1; ++i) {
+  workers_.reserve(num_threads_);
+  for (int i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -75,7 +78,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_inside_pool_worker = true;
+  tls_on_pool_lane = true;
   while (true) {
     std::function<void()> task;
     {
@@ -96,7 +99,7 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Post(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
     tasks_.push_back(std::move(task));
@@ -104,24 +107,15 @@ void ThreadPool::Enqueue(std::function<void()> task) {
   wake_.NotifyOne();
 }
 
-void ThreadPool::Post(std::function<void()> task) {
-  // No workers (parallelism 1): run inline — the queue would never drain.
-  if (workers_.empty()) {
-    task();
-    return;
-  }
-  Enqueue(std::move(task));
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
                              ResourceGuard* guard) {
   if (n == 0) {
     return;
   }
-  // Inline paths: trivial loops, single-threaded pools, and nested calls
-  // from inside a worker (which would otherwise deadlock waiting for the
-  // queue they are blocking).
-  if (n == 1 || workers_.empty() || tls_inside_pool_worker) {
+  // Inline paths: trivial loops, single-lane pools, and nested calls
+  // from a lane (which would otherwise oversubscribe the pool, or on a
+  // worker deadlock waiting for the queue it is blocking).
+  if (n == 1 || num_threads_ == 1 || tls_on_pool_lane) {
     for (size_t i = 0; i < n; ++i) {
       if (guard == nullptr || guard->Check("thread_pool/parallel_for").ok()) {
         fn(i);
@@ -133,12 +127,15 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn,
   state->fn = fn;
   state->n = n;
   state->guard = guard;
-  const size_t helpers =
-      workers_.size() < n - 1 ? workers_.size() : n - 1;
+  // At most `num_threads_` lanes run the loop: the caller plus up to
+  // `num_threads_ - 1` helper tasks.
+  const size_t helpers = std::min<size_t>(num_threads_ - 1, n - 1);
   for (size_t i = 0; i < helpers; ++i) {
-    Enqueue([state] { state->Drain(); });
+    Post([state] { state->Drain(); });
   }
-  state->Drain();  // The caller is a lane too.
+  tls_on_pool_lane = true;  // The caller is a lane too.
+  state->Drain();
+  tls_on_pool_lane = false;
   MutexLock lock(state->mutex);
   while (state->done != state->n) {
     state->all_done.Wait(lock);

@@ -17,12 +17,15 @@ class ResourceGuard;
 /// Fixed-size task pool used by the reasoning core to fan independent LP
 /// probes and implication queries across cores.
 ///
-/// A pool of parallelism `n` owns `n - 1` worker threads; the thread that
-/// calls `ParallelFor` participates as the n-th lane, so `ThreadPool(1)`
-/// owns no threads and runs everything inline. Nested `ParallelFor` calls
-/// issued from inside a worker run inline on that worker (no deadlock, no
-/// oversubscription) — the reasoner relies on this when a parallel
-/// implication sweep reaches the parallel probe rounds underneath it.
+/// A pool of parallelism `n` owns `n` worker threads, so `Post` can keep
+/// `n` tasks running at once (crsatd's `--threads N` means N requests
+/// reasoning at once). `ParallelFor` uses exactly `n` lanes: the calling
+/// thread plus at most `n - 1` helper tasks, so `ThreadPool(1)` runs its
+/// loops inline. Nested `ParallelFor` calls issued from a loop body (on
+/// any lane, the caller's included) or from a posted task run inline on
+/// that thread (no deadlock, no oversubscription) — the reasoner relies
+/// on this when a parallel implication sweep reaches the parallel probe
+/// rounds underneath it.
 ///
 /// Determinism contract: `ParallelFor` only schedules; callers that need
 /// bit-identical results across thread counts must make their *work*
@@ -44,7 +47,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// The pool's parallelism (worker threads + the calling thread).
+  /// The pool's parallelism: its worker count, and the lane count of a
+  /// `ParallelFor` (helpers + the calling thread).
   int num_threads() const { return num_threads_; }
 
   /// Runs `fn(0) .. fn(n - 1)`, distributing indices across the pool, and
@@ -62,12 +66,10 @@ class ThreadPool {
                    ResourceGuard* guard = nullptr) CRSAT_EXCLUDES(mutex_);
 
   /// Fire-and-forget dispatch: hands `task` to a worker thread and
-  /// returns immediately. Used by the crsatd request scheduler
-  /// (src/server/scheduler.*) to run admitted requests on the reasoning
-  /// pool; completion tracking is the caller's job. A pool of
-  /// parallelism 1 owns no workers, so `Post` there runs the task
-  /// *inline* before returning — callers that must not block (and the
-  /// scheduler's pump loop) are written to tolerate that.
+  /// returns immediately, never running it on the caller. Used by the
+  /// crsatd request scheduler (src/server/scheduler.*) to run admitted
+  /// requests on the reasoning pool, up to `num_threads()` at once;
+  /// completion tracking is the caller's job.
   void Post(std::function<void()> task) CRSAT_EXCLUDES(mutex_);
 
   /// The parallelism requested by the environment: `CRSAT_THREADS` when it
@@ -79,7 +81,6 @@ class ThreadPool {
   struct ForState;
 
   void WorkerLoop() CRSAT_EXCLUDES(mutex_);
-  void Enqueue(std::function<void()> task) CRSAT_EXCLUDES(mutex_);
 
   const int num_threads_;
   std::vector<std::thread> workers_;

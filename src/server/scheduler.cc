@@ -17,12 +17,6 @@ std::uint64_t CostOf(std::size_t cost_bytes) {
   return 1 + std::min<std::uint64_t>(kibs, 63);
 }
 
-// Set while this thread is inside Pump's dispatch loop. ThreadPool::Post
-// on a parallelism-1 pool runs the task inline, whose completion hook
-// calls Pump again; the latch turns that recursion into iteration of the
-// outer loop (a 10k-deep lane drains with O(1) stack).
-thread_local bool tls_pumping = false;
-
 }  // namespace
 
 std::string RequestScheduler::Stats::ToJson() const {
@@ -35,7 +29,8 @@ std::string RequestScheduler::Stats::ToJson() const {
          field("completed", completed) + ", " +
          field("queued_now", queued_now) + ", " +
          field("running_now", running_now) + ", " +
-         field("lanes_now", lanes_now) + "}";
+         field("lanes_now", lanes_now) + ", " +
+         field("max_concurrency", max_concurrency) + "}";
 }
 
 RequestScheduler::RequestScheduler(ThreadPool* pool, const Options& options)
@@ -95,8 +90,8 @@ ResponseStatus RequestScheduler::Submit(std::uint64_t lane_id,
       lane->in_ready_ring = true;
       ready_ring_.push_back(lane);
     }
+    PumpLocked();
   }
-  Pump();
   return ResponseStatus::kOk;
 }
 
@@ -138,45 +133,35 @@ bool RequestScheduler::NextDispatchLocked(std::shared_ptr<Lane>* lane,
   return false;
 }
 
-void RequestScheduler::Pump() {
-  if (tls_pumping) {
-    return;  // The outer loop on this thread picks up the new state.
-  }
-  tls_pumping = true;
-  while (true) {
-    std::shared_ptr<Lane> lane;
-    std::function<void()> work;
-    {
-      MutexLock lock(mutex_);
-      if (!NextDispatchLocked(&lane, &work)) {
-        break;
-      }
-    }
+void RequestScheduler::PumpLocked() {
+  // Post never runs the task on this thread, so dispatching under the
+  // lock cannot re-enter the scheduler.
+  std::shared_ptr<Lane> lane;
+  std::function<void()> work;
+  while (NextDispatchLocked(&lane, &work)) {
     pool_->Post([this, lane = std::move(lane), work = std::move(work)] {
       work();
       OnComplete(lane);
     });
   }
-  tls_pumping = false;
 }
 
 void RequestScheduler::OnComplete(const std::shared_ptr<Lane>& lane) {
-  bool idle = false;
-  {
-    MutexLock lock(mutex_);
-    lane->running = false;
-    --running_total_;
-    ++counters_.completed;
-    if (!lane->queue.empty() && !lane->in_ready_ring) {
-      lane->in_ready_ring = true;
-      ready_ring_.push_back(lane);
-    }
-    idle = queued_total_ == 0 && running_total_ == 0;
+  // Everything happens under the lock: once it is released with the
+  // scheduler idle, AwaitIdle (and so the destructor) may return, and
+  // this thread must not touch the scheduler again.
+  MutexLock lock(mutex_);
+  lane->running = false;
+  --running_total_;
+  ++counters_.completed;
+  if (!lane->queue.empty() && !lane->in_ready_ring) {
+    lane->in_ready_ring = true;
+    ready_ring_.push_back(lane);
   }
-  if (idle) {
+  PumpLocked();
+  if (queued_total_ == 0 && running_total_ == 0) {
     idle_.NotifyAll();
   }
-  Pump();
 }
 
 void RequestScheduler::BeginDrain() {
@@ -202,6 +187,7 @@ RequestScheduler::Stats RequestScheduler::stats() const {
   snapshot.queued_now = queued_total_;
   snapshot.running_now = static_cast<std::uint64_t>(running_total_);
   snapshot.lanes_now = lanes_.size();
+  snapshot.max_concurrency = static_cast<std::uint64_t>(max_concurrency_);
   return snapshot;
 }
 

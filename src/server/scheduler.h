@@ -41,10 +41,10 @@ namespace server {
 ///   - After `BeginDrain`, `Submit` returns kShuttingDown; everything
 ///     already admitted still runs to completion (`AwaitIdle`).
 ///
-/// Execution happens via `ThreadPool::Post`. On a parallelism-1 pool
-/// `Post` runs inline; the pump loop is written iteratively (with a
-/// thread-local re-entrancy latch) so a long lane drains as a loop, not
-/// as recursion.
+/// Execution happens via `ThreadPool::Post`, which always runs the
+/// request on a pool worker. A pool of parallelism n owns n workers, so
+/// the default `max_concurrency` (the pool's parallelism) admits exactly
+/// as many running requests as there are threads to run them.
 class RequestScheduler {
  public:
   struct Options {
@@ -68,6 +68,7 @@ class RequestScheduler {
     std::uint64_t queued_now = 0;
     std::uint64_t running_now = 0;
     std::uint64_t lanes_now = 0;
+    std::uint64_t max_concurrency = 0;  ///< Effective running-request cap.
 
     std::string ToJson() const;
   };
@@ -87,10 +88,10 @@ class RequestScheduler {
   /// stops submitting).
   void CloseLane(std::uint64_t lane_id) CRSAT_EXCLUDES(mutex_);
 
-  /// Admission + enqueue. `work` will run exactly once on the pool (or
-  /// inline, see above) iff the return value is kOk; any other value
-  /// means the request was refused and `work` was dropped. `cost_bytes`
-  /// is the request payload size (fed into the DRR cost).
+  /// Admission + enqueue. `work` will run exactly once on the pool iff
+  /// the return value is kOk; any other value means the request was
+  /// refused and `work` was dropped. `cost_bytes` is the request payload
+  /// size (fed into the DRR cost).
   ResponseStatus Submit(std::uint64_t lane_id, std::size_t cost_bytes,
                         std::function<void()> work) CRSAT_EXCLUDES(mutex_);
 
@@ -119,7 +120,8 @@ class RequestScheduler {
   bool NextDispatchLocked(std::shared_ptr<Lane>* lane,
                           std::function<void()>* work)
       CRSAT_REQUIRES(mutex_);
-  void Pump() CRSAT_EXCLUDES(mutex_);
+  /// Posts every dispatchable request to the pool.
+  void PumpLocked() CRSAT_REQUIRES(mutex_);
   void OnComplete(const std::shared_ptr<Lane>& lane) CRSAT_EXCLUDES(mutex_);
 
   ThreadPool* const pool_;

@@ -26,10 +26,12 @@ struct ServerOptions {
   int port = -1;
   /// AF_UNIX listener at this path (unlinked on shutdown).
   std::string unix_socket;
-  /// Reasoning-pool parallelism, resolved via `SetGlobalThreadCount`
-  /// *before* the listener accepts its first connection (0 = auto:
-  /// CRSAT_THREADS or the hardware). Frozen for the daemon's lifetime —
-  /// see the ordering contract on SetGlobalThreadCount.
+  /// Reasoning-pool parallelism: the pool owns this many workers, so N
+  /// means N requests reasoning at once (the scheduler's default
+  /// `max_concurrency`). Resolved via `SetGlobalThreadCount` *before*
+  /// the listener accepts its first connection (0 = auto: CRSAT_THREADS
+  /// or the hardware). Frozen for the daemon's lifetime — see the
+  /// ordering contract on SetGlobalThreadCount.
   int threads = 0;
   /// Admission control + fair queueing knobs.
   RequestScheduler::Options scheduler;

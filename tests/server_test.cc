@@ -385,6 +385,48 @@ TEST(SchedulerTest, DrainRefusesNewWorkAndFinishesAdmitted) {
   EXPECT_EQ(scheduler.stats().refused_draining, 1u);
 }
 
+TEST(SchedulerTest, LanesRunConcurrentlyUpToPoolParallelism) {
+  // A pool of parallelism 2 runs two requests at once: lane 1's request
+  // blocks until lane 2's has run, which needs a second worker. With
+  // only one, lane 2 would queue behind lane 1 and the wait would time
+  // out.
+  ThreadPool pool(2);
+  RequestScheduler scheduler(&pool, {});
+  EXPECT_EQ(scheduler.stats().max_concurrency, 2u);
+  scheduler.OpenLane(1);
+  scheduler.OpenLane(2);
+
+  Mutex mutex;
+  CondVar cv;
+  bool lane2_ran = false;
+  bool lane1_saw_lane2 = false;
+  ASSERT_EQ(scheduler.Submit(1, 0,
+                             [&] {
+                               MutexLock lock(mutex);
+                               const auto deadline =
+                                   std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(10);
+                               while (!lane2_ran) {
+                                 if (!cv.WaitUntil(lock, deadline)) {
+                                   break;
+                                 }
+                               }
+                               lane1_saw_lane2 = lane2_ran;
+                             }),
+            ResponseStatus::kOk);
+  ASSERT_EQ(scheduler.Submit(2, 0,
+                             [&] {
+                               MutexLock lock(mutex);
+                               lane2_ran = true;
+                               cv.NotifyAll();
+                             }),
+            ResponseStatus::kOk);
+  scheduler.AwaitIdle();
+  MutexLock lock(mutex);
+  EXPECT_TRUE(lane1_saw_lane2)
+      << "lane 2 never ran while lane 1 held a worker";
+}
+
 TEST(SchedulerTest, SubmitToClosedLaneIsRefused) {
   ThreadPool pool(2);
   RequestScheduler scheduler(&pool, {});
@@ -396,9 +438,10 @@ TEST(SchedulerTest, SubmitToClosedLaneIsRefused) {
 // ---------------------------------------------------------------------------
 // End-to-end: daemon + client over loopback TCP.
 
-// Every test daemon runs at the same fixed parallelism so the global
-// pool is constructed once (SetGlobalThreadCount contract: swaps must
-// not race in-flight work).
+// Test daemons run at one fixed parallelism, so the global pool is
+// swapped only around the test that needs another one, and only between
+// daemons (SetGlobalThreadCount contract: swaps must not race in-flight
+// work).
 ServerOptions TestOptions() {
   ServerOptions options;
   options.port = 0;  // Kernel-assigned ephemeral port.
@@ -444,6 +487,24 @@ TEST(ServerTest, SessionHoldsTheSchemaAcrossManyRequests) {
   EXPECT_EQ(stats->status, ResponseStatus::kOk);
   EXPECT_NE(stats->payload.find("\"completed\""), std::string::npos);
 
+  daemon.BeginDrain();
+  daemon.Wait();
+}
+
+TEST(ServerTest, StatsReportTheThreadsTheDaemonRunsOn) {
+  // `--threads 2` means two requests reasoning at once, and `stats` says
+  // so.
+  ServerOptions options = TestOptions();
+  options.threads = 2;
+  Server daemon(options);
+  ASSERT_TRUE(daemon.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.ConnectTcp(daemon.port()).ok());
+  auto stats = client.Call(RequestType::kStats, "");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->status, ResponseStatus::kOk);
+  EXPECT_NE(stats->payload.find("\"max_concurrency\": 2"), std::string::npos)
+      << stats->payload;
   daemon.BeginDrain();
   daemon.Wait();
 }

@@ -4,12 +4,15 @@
 #include "src/base/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/base/mutex.h"
 
 namespace crsat {
 namespace {
@@ -38,11 +41,11 @@ TEST(ThreadPoolTest, ZeroAndSingleIterationRunInline) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPoolTest, SingleThreadPoolHasNoWorkers) {
+TEST(ThreadPoolTest, SingleThreadPoolRunsLoopsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
   std::vector<int> order;
-  // With no workers every index runs inline on the caller, in order.
+  // One lane: every index runs inline on the caller, in order.
   pool.ParallelFor(5, [&](size_t i) { order.push_back(static_cast<int>(i)); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -113,20 +116,62 @@ TEST(ThreadPoolTest, PostRunsEveryTaskExactlyOnce) {
   EXPECT_EQ(ran.load(), 500);
 }
 
-TEST(ThreadPoolTest, PostOnParallelismOneRunsInline) {
-  // A pool of parallelism 1 owns no workers: Post executes the task on
-  // the calling thread before returning — the documented contract the
-  // scheduler's pump loop is written to tolerate.
+TEST(ThreadPoolTest, PostOnParallelismOneRunsOnItsWorker) {
+  // A pool of parallelism 1 owns one worker: Post hands the task to it
+  // and never runs it on the calling thread (the crsatd scheduler posts
+  // while holding its own lock).
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
+  Mutex mutex;
+  CondVar ran_cv;
+  int runs = 0;
   std::thread::id ran_on;
-  bool done = false;
   pool.Post([&] {
+    MutexLock lock(mutex);
     ran_on = std::this_thread::get_id();
-    done = true;  // No synchronization needed: inline means sequenced.
+    ++runs;
+    ran_cv.NotifyAll();
   });
-  EXPECT_TRUE(done);
-  EXPECT_EQ(ran_on, caller);
+  MutexLock lock(mutex);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (runs == 0) {
+    if (!ran_cv.WaitUntil(lock, deadline)) {
+      break;
+    }
+  }
+  EXPECT_EQ(runs, 1);
+  EXPECT_NE(ran_on, caller);
+}
+
+TEST(ThreadPoolTest, ParallelForNeverExceedsThePoolsParallelism) {
+  // A pool of parallelism n owns n workers, but a ParallelFor still runs
+  // on n lanes at most (the caller plus n - 1 helpers), nested loops
+  // included, so the reasoner's probe and implication fan-out stays what
+  // it was.
+  for (const int parallelism : {1, 2, 4}) {
+    ThreadPool pool(parallelism);
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    const auto body = [&](size_t) {
+      const int now = running.fetch_add(1) + 1;
+      int seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      running.fetch_sub(1);
+    };
+    pool.ParallelFor(64, body);
+    EXPECT_LE(peak.load(), parallelism) << "flat, parallelism " << parallelism;
+    EXPECT_GE(peak.load(), 1);
+
+    // Every lane, the caller's included, runs its nested loops inline.
+    peak.store(0);
+    pool.ParallelFor(2 * static_cast<size_t>(parallelism),
+                     [&](size_t) { pool.ParallelFor(8, body); });
+    EXPECT_LE(peak.load(), parallelism)
+        << "nested, parallelism " << parallelism;
+  }
 }
 
 TEST(ThreadPoolTest, PostOnWorkersRunsOffTheCallingThread) {
