@@ -94,7 +94,7 @@ struct StatsSnapshot {
     snapshot.phase1_pivots = stats.phase1_pivots.load();
     snapshot.fast_solves = stats.fast_solves.load();
     snapshot.fast_pivots = stats.fast_pivots.load();
-    snapshot.tier_fallbacks = stats.tier_fallbacks.load();
+    snapshot.tier_fallbacks = crsat::GetRecoveryStats().tier_fallbacks.load();
     snapshot.warm_start_hits = stats.warm_start_hits.load();
     snapshot.warm_start_misses = stats.warm_start_misses.load();
     snapshot.dual_pivots = stats.dual_pivots.load();
@@ -117,6 +117,7 @@ struct StatsSnapshot {
     crsat::GetImplicationStats().Reset();
     crsat::GetExpansionStats().Reset();
     crsat::GetFastPathStats().Reset();
+    crsat::GetRecoveryStats().Reset();
   }
 };
 

@@ -72,7 +72,7 @@
 //       Listens on 127.0.0.1:<port> (0 = ephemeral, the bound port is
 //       printed) or an AF_UNIX socket; each connection is a session
 //       holding one parsed schema; requests run on the reasoning pool
-//       behind admission control and weighted fair queueing. The limit
+//       behind admission control and fair queueing. The limit
 //       flags become server-wide caps clamping every request's budget
 //       headers. SIGTERM/SIGINT (or a client `shutdown`) drains
 //       gracefully: in-flight requests finish, new ones are refused.

@@ -4,42 +4,21 @@ namespace crsat {
 
 namespace {
 
-// The policy decomposed into lock-free cells so hot paths (SolveWith,
-// AssignTuples) can read it without a mutex. Mirrors the
-// incremental-override idiom in src/base/incremental.cc.
-std::atomic<int> g_allow_incremental{1};
-std::atomic<int> g_allow_fast_tier{1};
-std::atomic<int> g_max_witness_rescales{8};
-
-void StorePolicy(const DegradationPolicy& policy) {
-  g_allow_incremental.store(policy.allow_incremental ? 1 : 0,
-                            std::memory_order_release);
-  g_allow_fast_tier.store(policy.allow_fast_tier ? 1 : 0,
-                          std::memory_order_release);
-  g_max_witness_rescales.store(policy.max_witness_rescales,
-                               std::memory_order_release);
+std::string Load(const std::atomic<std::uint64_t>& counter) {
+  return std::to_string(counter.load(std::memory_order_relaxed));
 }
 
 }  // namespace
 
-DegradationPolicy GetDegradationPolicy() {
-  DegradationPolicy policy;
-  policy.allow_incremental =
-      g_allow_incremental.load(std::memory_order_acquire) != 0;
-  policy.allow_fast_tier =
-      g_allow_fast_tier.load(std::memory_order_acquire) != 0;
-  policy.max_witness_rescales =
-      g_max_witness_rescales.load(std::memory_order_acquire);
-  return policy;
+std::string RecoveryStats::ToJson() const {
+  return "{\"warm_start_fallbacks\": " + Load(warm_start_fallbacks) +
+         ", \"cover_fallbacks\": " + Load(cover_fallbacks) +
+         ", \"tier_fallbacks\": " + Load(tier_fallbacks) +
+         ", \"witness_flow_refinements\": " + Load(witness_flow_refinements) +
+         ", \"witness_rescales\": " + Load(witness_rescales) +
+         ", \"bad_alloc_conversions\": " + Load(bad_alloc_conversions) +
+         ", \"guard_trips\": " + Load(guard_trips) + "}";
 }
-
-ScopedDegradationPolicy::ScopedDegradationPolicy(
-    const DegradationPolicy& policy)
-    : previous_(GetDegradationPolicy()) {
-  StorePolicy(policy);
-}
-
-ScopedDegradationPolicy::~ScopedDegradationPolicy() { StorePolicy(previous_); }
 
 RecoveryStats& GetRecoveryStats() {
   static RecoveryStats* stats = new RecoveryStats;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 
 namespace crsat {
 
@@ -23,42 +24,16 @@ namespace crsat {
 /// (`crsat_cli conform --chaos-seeds N`) is the proof: under randomized
 /// fault schedules every verdict either matches the fault-free run or is
 /// such an UNKNOWN, never a flip.
-
-/// Bounds on how hard each rung retries before dropping to the next.
-/// The defaults match the historical hard-coded values; tests and the
-/// future crsatd admission controller tighten them per request.
-struct DegradationPolicy {
-  /// Rung 0 permitted (warm starts, memoization, pruning). When false,
-  /// every layer behaves as if `IncrementalReasoningEnabled()` were off.
-  bool allow_incremental = true;
-  /// Rung 1 -> 2: permit the overflow-checked int64 SmallRational tier.
-  /// When false, every solve starts on exact Rational arithmetic.
-  bool allow_fast_tier = true;
-  /// Rung 2 retry budget for witness construction: how many doublings of
-  /// the scale factor tuple assignment may try before refusing.
-  int max_witness_rescales = 8;
-};
-
-/// Process-wide policy. Reads are lock-free; see ScopedDegradationPolicy
-/// for the only supported way to change it.
-DegradationPolicy GetDegradationPolicy();
-
-/// Scoped override of the process-wide policy, for tests and the chaos
-/// harness. Create and destroy from a single thread outside parallel
-/// regions (reads from worker threads are safe; concurrent overrides are
-/// not meaningful).
-class ScopedDegradationPolicy {
- public:
-  explicit ScopedDegradationPolicy(const DegradationPolicy& policy);
-  ~ScopedDegradationPolicy();
-
-  ScopedDegradationPolicy(const ScopedDegradationPolicy&) = delete;
-  ScopedDegradationPolicy& operator=(const ScopedDegradationPolicy&) =
-      delete;
-
- private:
-  DegradationPolicy previous_;
-};
+///
+/// Each rung transition has exactly one switch:
+///
+///   rung 0 -> 1  `IncrementalReasoningEnabled()` (src/base/incremental.h),
+///                set by `CRSAT_NO_INCREMENTAL`, `ScopedIncrementalOverride`
+///                or the `incremental/force_cold` failpoint
+///   rung 1 -> 2  the `lp/fast_tier_overflow` failpoint (a per-solve
+///                reference asks for `SimplexOptions::Tier::kExactOnly`)
+///   rung 2       the witness rescale budget, a constant in
+///                src/witness/tuple_assignment.cc
 
 /// Process-wide counters recording every rung transition actually taken.
 /// Exposed in `crsat_cli --json` (object "recovery") and alongside
@@ -72,8 +47,9 @@ struct RecoveryStats {
   /// Rung 0 -> 1: support-cover LP failed; expansion fell back to
   /// per-group probe rounds.
   std::atomic<std::uint64_t> cover_fallbacks{0};
-  /// Rung 1 -> 2: SmallRational tier overflowed (or was skipped by
-  /// policy/fault); solve re-ran on exact Rational.
+  /// Rung 1 -> 2: SmallRational tier overflowed (or an injected
+  /// `lp/fast_tier_overflow` fault skipped it); solve re-ran on exact
+  /// Rational.
   std::atomic<std::uint64_t> tier_fallbacks{0};
   /// Witness stage: aligned fast path failed; min-congestion max-flow
   /// refinement ran.
@@ -96,6 +72,9 @@ struct RecoveryStats {
     bad_alloc_conversions.store(0, std::memory_order_relaxed);
     guard_trips.store(0, std::memory_order_relaxed);
   }
+
+  /// The counters as one JSON object, keys in declaration order.
+  std::string ToJson() const;
 };
 
 /// The process-wide recovery record. Counters are relaxed atomics;

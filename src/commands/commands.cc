@@ -71,7 +71,8 @@ std::string SolverStatsJson() {
          ", \"phase1_pivots\": " + Load(stats.phase1_pivots) +
          ", \"fast_solves\": " + Load(stats.fast_solves) +
          ", \"fast_pivots\": " + Load(stats.fast_pivots) +
-         ", \"tier_fallbacks\": " + Load(stats.tier_fallbacks) +
+         ", \"tier_fallbacks\": " +
+         Load(GetRecoveryStats().tier_fallbacks) +
          ", \"warm_start_hits\": " + Load(stats.warm_start_hits) +
          ", \"warm_start_misses\": " + Load(stats.warm_start_misses) +
          ", \"dual_pivots\": " + Load(stats.dual_pivots) +
@@ -85,20 +86,6 @@ std::string SolverStatsJson() {
          ", \"pruned_subtrees\": " + Load(GetExpansionStats().pruned_subtrees) +
          ", \"ln_short_circuits\": " +
          Load(GetFastPathStats().ln_short_circuits) + "}";
-}
-
-// Degradation-ladder transitions (src/base/degradation.h) as a JSON
-// object: how often the run fell back a rung and why.
-std::string RecoveryStatsJson() {
-  const RecoveryStats& stats = GetRecoveryStats();
-  return "{\"warm_start_fallbacks\": " + Load(stats.warm_start_fallbacks) +
-         ", \"cover_fallbacks\": " + Load(stats.cover_fallbacks) +
-         ", \"tier_fallbacks\": " + Load(stats.tier_fallbacks) +
-         ", \"witness_flow_refinements\": " +
-         Load(stats.witness_flow_refinements) +
-         ", \"witness_rescales\": " + Load(stats.witness_rescales) +
-         ", \"bad_alloc_conversions\": " + Load(stats.bad_alloc_conversions) +
-         ", \"guard_trips\": " + Load(stats.guard_trips) + "}";
 }
 
 // An implication query the checker could not answer. InvalidArgument
@@ -203,7 +190,8 @@ CommandResult Check(const NamedSchema& parsed, bool json,
     }
     out << "\n  ],\n  \"strongly_satisfiable\": "
         << (all_ok ? "true" : "false") << ",\n  \"stats\": "
-        << SolverStatsJson() << ",\n  \"recovery\": " << RecoveryStatsJson();
+        << SolverStatsJson()
+        << ",\n  \"recovery\": " << GetRecoveryStats().ToJson();
     if (!witness_mode.empty()) {
       out << ",\n  \"witness\": ";
       if (witness.has_value()) {

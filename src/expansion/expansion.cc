@@ -50,7 +50,7 @@ class ConsistentClassEnumerator {
         disjoint_masks_.push_back(mask);
       }
     }
-    if (options.prune_structurally_empty && IncrementalReasoningEnabled()) {
+    if (IncrementalReasoningEnabled()) {
       DeriveEmptinessFacts();
     }
   }
@@ -145,9 +145,22 @@ class ConsistentClassEnumerator {
   // `{a, b}`: distinct subclasses of one role's primary class with
   // `minc(a) > maxc(b)` declared, so any compound containing both has an
   // empty lifted range. This is the paper's Section 5 observation
-  // ("Talk ∦ Speaker") turned into an enumeration-time filter; pairwise
-  // derivation is complete for declared-range emptiness (see
-  // `ExpansionOptions::prune_structurally_empty`).
+  // ("Talk ∦ Speaker") turned into an enumeration-time filter: Lemma 3.2
+  // applies to such a compound exactly as to an inconsistent one, so
+  // pruning it never changes a verdict, it only keeps the disequation
+  // system from carrying unknowns the LP would prove zero. Pairwise
+  // derivation is complete for declared-range emptiness: an empty lifted
+  // range always has a max-of-mins contributor `a` and a min-of-maxes
+  // contributor `b` forming such a pair. Runs only while
+  // `IncrementalReasoningEnabled()`, so the forced-cold reference path
+  // builds the historical expansion.
+  //
+  // Soundness caveat: the derivation reads the *declared* schema bounds,
+  // so callers probing the expansion with `CardinalityOverride`s must only
+  // override triples whose declared bounds do not contribute (the
+  // implication engine overrides its fresh auxiliary class, whose declared
+  // bounds are the default `(0, inf)`) — an override that *relaxed* a
+  // declared bound could resurrect a pruned compound.
   void DeriveEmptinessFacts() {
     if (options_.known_empty_classes != nullptr) {
       const std::vector<bool>& known = *options_.known_empty_classes;

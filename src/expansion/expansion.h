@@ -60,32 +60,13 @@ struct ExpansionOptions {
   std::size_t max_consistent_classes = std::size_t{1} << 20;
   std::size_t max_compound_relationships = std::size_t{1} << 22;
 
-  /// Prune compound classes that are *provably empty in every model* from
-  /// declared cardinalities alone: a compound containing classes `a, b`
-  /// (possibly `a == b`) with `minc(a) > maxc(b)` declared for a shared
-  /// role has an empty lifted range, so Lemma 3.2 applies to it exactly as
-  /// to an inconsistent compound — skipping it never changes a verdict, it
-  /// only keeps the disequation system from carrying unknowns the LP would
-  /// prove zero. Pairwise checking is complete: an empty lifted range
-  /// always has a max-of-mins contributor `a` and a min-of-maxes
-  /// contributor `b` forming such a pair. Effective only while
-  /// `IncrementalReasoningEnabled()` (src/base/incremental.h), so the
-  /// forced-cold reference path builds the historical expansion.
-  ///
-  /// Soundness caveat: the derivation reads the *declared* schema bounds,
-  /// so callers probing the expansion with `CardinalityOverride`s must
-  /// only override triples whose declared bounds do not contribute (the
-  /// implication engine overrides its fresh auxiliary class, whose
-  /// declared bounds are the default `(0, inf)`) — an override that
-  /// *relaxed* a declared bound could resurrect a pruned compound.
-  bool prune_structurally_empty = true;
-
   /// Optional per-schema-class "provably empty in every model" facts (from
   /// `ComputeProvablyEmpty`'s fixpoint, src/analysis/empty_classes.h, which
   /// sees rules the local pairwise derivation cannot). Indexed by ClassId;
   /// may be shorter than `num_classes()` (missing entries mean "unknown").
-  /// Compounds containing a flagged class are pruned like derived-disjoint
-  /// ones, under the same incremental gate. The pointee must outlive
+  /// Compounds containing a flagged class are pruned like the
+  /// declared-range-empty ones (src/expansion/expansion.cc), while
+  /// `IncrementalReasoningEnabled()`. The pointee must outlive
   /// `Build`. The facts must be sound — an unsound entry changes verdicts.
   const std::vector<bool>* known_empty_classes = nullptr;
 

@@ -240,9 +240,7 @@ Result<SupportResult> ComputeMaximalSupport(
   // compute the same unique maximal support, just slower. Resource
   // statuses still propagate (the trip is sticky; retrying would trip
   // again immediately).
-  if (IncrementalReasoningEnabled() &&
-      GetDegradationPolicy().allow_incremental &&
-      pinned.num_variables() > 0) {
+  if (IncrementalReasoningEnabled() && pinned.num_variables() > 0) {
     const int nu = pinned.num_variables();
     LinearSystem covered = pinned;
     LinearExpr total_deficit;

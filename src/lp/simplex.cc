@@ -18,7 +18,6 @@ void SimplexStats::Reset() {
   phase1_pivots.store(0, std::memory_order_relaxed);
   fast_solves.store(0, std::memory_order_relaxed);
   fast_pivots.store(0, std::memory_order_relaxed);
-  tier_fallbacks.store(0, std::memory_order_relaxed);
   warm_start_hits.store(0, std::memory_order_relaxed);
   warm_start_misses.store(0, std::memory_order_relaxed);
   dual_pivots.store(0, std::memory_order_relaxed);
@@ -929,9 +928,7 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   // ScopedIncrementalOverride) ignores carried bases entirely so every
   // solve runs the exact code path the differential tests compare against.
   SimplexOptions effective = options;
-  const DegradationPolicy policy = GetDegradationPolicy();
-  if (effective.warm_start != nullptr &&
-      (!IncrementalReasoningEnabled() || !policy.allow_incremental)) {
+  if (effective.warm_start != nullptr && !IncrementalReasoningEnabled()) {
     effective.warm_start = nullptr;
   }
 
@@ -953,14 +950,11 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   WarmDisposition warm;
 
   bool try_fast_tier = effective.tier == SimplexOptions::Tier::kTwoTier;
-  if (try_fast_tier &&
-      (!policy.allow_fast_tier || CRSAT_FAILPOINT("lp/fast_tier_overflow"))) {
-    // Rung 1 -> 2 without attempting the int64 tier: the policy forbids
-    // it, or an injected overflow simulates the fast tier failing at the
-    // earliest possible point. Either way the exact re-solve below is the
-    // same code the genuine overflow path runs.
+  if (try_fast_tier && CRSAT_FAILPOINT("lp/fast_tier_overflow")) {
+    // Rung 1 -> 2 without attempting the int64 tier: an injected overflow
+    // simulates the fast tier failing at the earliest possible point. The
+    // exact re-solve below is the same code the genuine overflow path runs.
     try_fast_tier = false;
-    BumpStat(stats.tier_fallbacks);
     BumpStat(GetRecoveryStats().tier_fallbacks);
   }
   if (try_fast_tier) {
@@ -984,7 +978,6 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
       }
       return fast;
     }
-    BumpStat(stats.tier_fallbacks);
     BumpStat(GetRecoveryStats().tier_fallbacks);
   }
 

@@ -54,10 +54,9 @@ struct SimplexStats {
   /// Solves completed entirely on the int64 fast tier.
   std::atomic<std::uint64_t> fast_solves{0};
   /// Subset of `pivots` performed by *completed* fast-tier solves.
+  /// (Abandoned fast-tier attempts are counted by the degradation ladder,
+  /// `RecoveryStats::tier_fallbacks` in src/base/degradation.h.)
   std::atomic<std::uint64_t> fast_pivots{0};
-  /// Fast-tier attempts abandoned (overflow or unrepresentable input),
-  /// each followed by an exact-tier solve.
-  std::atomic<std::uint64_t> tier_fallbacks{0};
   /// Solves that reused a caller-provided basis and skipped phase 1 —
   /// either because the basis was still primal-feasible or because dual
   /// pivots repaired it (see `incremental_hits`).
@@ -137,8 +136,10 @@ struct SimplexOptions {
     /// `Rational` pivoting when any value leaves the representable range.
     /// Verdicts are exact either way (the fast tier is exact-or-flagged).
     kTwoTier,
-    /// Exact `Rational` pivoting only (reference behaviour; used by the
-    /// cross-tier property tests).
+    /// Exact `Rational` pivoting only: the per-solve reference the
+    /// cross-tier property tests compare against. (The process-wide
+    /// rung 1 -> 2 switch is the `lp/fast_tier_overflow` failpoint,
+    /// src/base/degradation.h.)
     kExactOnly,
   };
   Tier tier = Tier::kTwoTier;

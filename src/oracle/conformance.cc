@@ -887,24 +887,9 @@ std::string ChaosReport::ToJson() const {
     }
   }
   out << "},\n";
-  {
-    // Ladder-transition counters for the whole sweep (reset-at-start
-    // discipline, same as the solver stats in ConformanceReport).
-    const RecoveryStats& recovery = GetRecoveryStats();
-    auto load = [](const std::atomic<std::uint64_t>& counter) {
-      return counter.load(std::memory_order_relaxed);
-    };
-    out << "  \"recovery\": {\"warm_start_fallbacks\": "
-        << load(recovery.warm_start_fallbacks)
-        << ", \"cover_fallbacks\": " << load(recovery.cover_fallbacks)
-        << ", \"tier_fallbacks\": " << load(recovery.tier_fallbacks)
-        << ", \"witness_flow_refinements\": "
-        << load(recovery.witness_flow_refinements)
-        << ", \"witness_rescales\": " << load(recovery.witness_rescales)
-        << ", \"bad_alloc_conversions\": "
-        << load(recovery.bad_alloc_conversions)
-        << ", \"guard_trips\": " << load(recovery.guard_trips) << "},\n";
-  }
+  // Ladder-transition counters for the whole sweep (reset-at-start
+  // discipline, same as the solver stats in ConformanceReport).
+  out << "  \"recovery\": " << GetRecoveryStats().ToJson() << ",\n";
   out << "  \"flips\": [";
   bool first = true;
   for (const ChaosVerdictFlip& flip : flips) {

@@ -17,6 +17,9 @@ std::uint64_t CostOf(std::size_t cost_bytes) {
   return 1 + std::min<std::uint64_t>(kibs, 63);
 }
 
+// Deficit added to a lane each time the round-robin pass visits it.
+constexpr std::uint64_t kQuantum = 4;
+
 }  // namespace
 
 std::string RequestScheduler::Stats::ToJson() const {
@@ -34,18 +37,14 @@ std::string RequestScheduler::Stats::ToJson() const {
 }
 
 RequestScheduler::RequestScheduler(ThreadPool* pool, const Options& options)
-    : pool_(pool),
-      options_(options),
-      max_concurrency_(options.max_concurrency > 0 ? options.max_concurrency
-                                                   : pool->num_threads()) {}
+    : pool_(pool), options_(options) {}
 
 RequestScheduler::~RequestScheduler() { AwaitIdle(); }
 
-void RequestScheduler::OpenLane(std::uint64_t lane_id, std::uint64_t weight) {
+void RequestScheduler::OpenLane(std::uint64_t lane_id) {
   MutexLock lock(mutex_);
   auto lane = std::make_shared<Lane>();
   lane->id = lane_id;
-  lane->weight = weight < 1 ? 1 : weight;
   lanes_[lane_id] = std::move(lane);
 }
 
@@ -97,11 +96,11 @@ ResponseStatus RequestScheduler::Submit(std::uint64_t lane_id,
 
 bool RequestScheduler::NextDispatchLocked(std::shared_ptr<Lane>* lane,
                                           std::function<void()>* work) {
-  if (running_total_ >= max_concurrency_) {
+  if (running_total_ >= pool_->num_threads()) {
     return false;
   }
   // Deficit round robin over the ready ring. Each visit tops up the
-  // lane's deficit by weight x quantum; a lane whose head request still
+  // lane's deficit by kQuantum; a lane whose head request still
   // costs more than its deficit rotates to the back with the deficit
   // retained, so it dispatches within a bounded number of passes. The
   // ring only holds lanes with non-empty queues and nothing running, so
@@ -109,7 +108,7 @@ bool RequestScheduler::NextDispatchLocked(std::shared_ptr<Lane>* lane,
   // the loop terminates.
   while (!ready_ring_.empty()) {
     std::shared_ptr<Lane> front = ready_ring_.front();
-    front->deficit += front->weight * options_.quantum;
+    front->deficit += kQuantum;
     const std::uint64_t head_cost = front->queue.front().first;
     if (front->deficit < head_cost) {
       ready_ring_.pop_front();
@@ -187,7 +186,7 @@ RequestScheduler::Stats RequestScheduler::stats() const {
   snapshot.queued_now = queued_total_;
   snapshot.running_now = static_cast<std::uint64_t>(running_total_);
   snapshot.lanes_now = lanes_.size();
-  snapshot.max_concurrency = static_cast<std::uint64_t>(max_concurrency_);
+  snapshot.max_concurrency = static_cast<std::uint64_t>(pool_->num_threads());
   return snapshot;
 }
 

@@ -18,8 +18,8 @@
 namespace crsat {
 namespace server {
 
-/// The async request scheduler: admission control in front, weighted
-/// fair queueing in the middle, the process-wide `ThreadPool` at the
+/// The async request scheduler: admission control in front, fair
+/// queueing in the middle, the process-wide `ThreadPool` at the
 /// back (DESIGN.md §15).
 ///
 /// Every connection registers one *lane* (keyed by session id). Admitted
@@ -43,8 +43,9 @@ namespace server {
 ///
 /// Execution happens via `ThreadPool::Post`, which always runs the
 /// request on a pool worker. A pool of parallelism n owns n workers, so
-/// the default `max_concurrency` (the pool's parallelism) admits exactly
-/// as many running requests as there are threads to run them.
+/// the running-request cap (`max_concurrency`, the pool's parallelism)
+/// admits exactly as many running requests as there are threads to run
+/// them.
 class RequestScheduler {
  public:
   struct Options {
@@ -52,10 +53,6 @@ class RequestScheduler {
     std::size_t max_queued = 256;
     /// Per-lane bound on queued requests.
     std::size_t max_queued_per_lane = 64;
-    /// Max concurrently running requests; 0 = the pool's parallelism.
-    int max_concurrency = 0;
-    /// Deficit added to a lane each time the round-robin pass visits it.
-    std::uint64_t quantum = 4;
   };
 
   /// Counter snapshot for the `stats` request and the tests.
@@ -79,9 +76,8 @@ class RequestScheduler {
   RequestScheduler(const RequestScheduler&) = delete;
   RequestScheduler& operator=(const RequestScheduler&) = delete;
 
-  /// Creates lane `lane_id` (weight >= 1 scales its deficit quantum).
-  void OpenLane(std::uint64_t lane_id, std::uint64_t weight = 1)
-      CRSAT_EXCLUDES(mutex_);
+  /// Creates lane `lane_id`.
+  void OpenLane(std::uint64_t lane_id) CRSAT_EXCLUDES(mutex_);
 
   /// Removes `lane_id` once its queue is empty and nothing is in
   /// flight; queued work still runs first (call after the connection
@@ -108,7 +104,6 @@ class RequestScheduler {
  private:
   struct Lane {
     std::uint64_t id = 0;
-    std::uint64_t weight = 1;
     std::uint64_t deficit = 0;
     bool running = false;       ///< A request from this lane is in flight.
     bool in_ready_ring = false;
@@ -126,7 +121,6 @@ class RequestScheduler {
 
   ThreadPool* const pool_;
   const Options options_;
-  const int max_concurrency_;
 
   mutable Mutex mutex_;
   CondVar idle_;  ///< Signaled when queued + running reaches zero.

@@ -27,13 +27,13 @@ struct ServerOptions {
   /// AF_UNIX listener at this path (unlinked on shutdown).
   std::string unix_socket;
   /// Reasoning-pool parallelism: the pool owns this many workers, so N
-  /// means N requests reasoning at once (the scheduler's default
+  /// means N requests reasoning at once (the scheduler's
   /// `max_concurrency`). Resolved via `SetGlobalThreadCount` *before*
   /// the listener accepts its first connection (0 = auto: CRSAT_THREADS
   /// or the hardware). Frozen for the daemon's lifetime — see the
   /// ordering contract on SetGlobalThreadCount.
   int threads = 0;
-  /// Admission control + fair queueing knobs.
+  /// Admission-control queue bounds.
   RequestScheduler::Options scheduler;
   /// Server-wide resource caps; each request's budget headers are
   /// clamped by these (protocol.h `ClampBudget`). Unset = uncapped.

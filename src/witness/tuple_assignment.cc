@@ -23,6 +23,12 @@ constexpr std::uint64_t kBytesPerIndividual = 80;
 constexpr std::uint64_t kBytesPerTupleBase = 64;
 constexpr std::uint64_t kBytesPerTupleComponent = 8;
 
+// Rung-2 retry budget of the degradation ladder (src/base/degradation.h):
+// how many times the integer solution may be doubled when
+// tuple-distinctness cannot be realized at the current scale (solutions
+// of the homogeneous system are closed under positive scaling).
+constexpr int kMaxScalingAttempts = 8;
+
 // A partially-built tuple shared by `count` identical copies.
 struct TupleGroup {
   std::vector<Individual> prefix;
@@ -292,12 +298,7 @@ Result<Interpretation> AssignTuples(const Expansion& expansion,
         "witness: solution size does not match the expansion");
   }
   BigInt scale(1);
-  // The retry budget is the smaller of the caller's request and the
-  // process-wide DegradationPolicy rung-2 bound (both default to 8).
-  const int max_attempts =
-      std::min(options.max_scaling_attempts,
-               GetDegradationPolicy().max_witness_rescales);
-  for (int attempt = 0; attempt <= max_attempts; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxScalingAttempts; ++attempt) {
     if (guard != nullptr) {
       CRSAT_RETURN_IF_ERROR(guard->CheckNow("witness/attempt"));
     }

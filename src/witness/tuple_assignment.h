@@ -23,8 +23,9 @@ namespace crsat {
 /// round-robin collides, the compound relationship is re-realized
 /// coordinate by coordinate with a min-congestion max-flow assignment
 /// (counted in `stats->flow_refinements`), and as a last resort the whole
-/// solution is doubled and retried up to `options.max_scaling_attempts`
-/// times (`stats->scaling_attempts`).
+/// solution is doubled and retried, up to 8 times (the rung-2 budget of
+/// the degradation ladder, src/base/degradation.h; counted in
+/// `stats->scaling_attempts`).
 ///
 /// `guard` is polled per individual block and per tuple batch, charged for
 /// the interpretation's dominant allocations, and handed down to every

@@ -16,11 +16,6 @@ namespace crsat {
 
 /// Knobs for witness synthesis (src/witness/).
 struct WitnessOptions {
-  /// How many times the integer solution may be doubled when
-  /// tuple-distinctness cannot be realized at the current scale (solutions
-  /// of the homogeneous system are closed under positive scaling).
-  int max_scaling_attempts = 8;
-
   /// Refuse to materialize witnesses larger than this many individuals
   /// plus tuples (the decision procedure never needs materialization; this
   /// is a safety valve for the constructive API).

@@ -99,4 +99,43 @@ expect_exit_env(0 "CRSAT_FAILPOINTS=lp/warm_start_reject=every:2"
 expect_exit_env(1 "CRSAT_FAILPOINTS=incremental/force_cold"
   check "${SCHEMAS}/figure1.cr")
 
+# The user-facing rung 0 -> 1 switch: CRSAT_NO_INCREMENTAL=1 sends every
+# layer down its cold reference path, which may cost more but must reach
+# the same verdicts, so the exit code and the "classes" array of
+# `check --json` match the incremental run's.
+function(classes_json out_var output)
+  string(FIND "${output}" "\"classes\": [" begin)
+  string(FIND "${output}" "\"strongly_satisfiable\"" end)
+  if(begin EQUAL -1 OR end LESS begin)
+    message(FATAL_ERROR "check --json printed no classes array:\n${output}")
+  endif()
+  math(EXPR length "${end} - ${begin}")
+  string(SUBSTRING "${output}" ${begin} ${length} classes)
+  set(${out_var} "${classes}" PARENT_SCOPE)
+endfunction()
+foreach(schema figure1 meeting finitely_unsat_pair)
+  execute_process(
+    COMMAND ${CRSAT_CLI} check "${SCHEMAS}/${schema}.cr" --json
+    RESULT_VARIABLE incremental_exit
+    OUTPUT_VARIABLE incremental_out
+    ERROR_QUIET)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env CRSAT_NO_INCREMENTAL=1
+      ${CRSAT_CLI} check "${SCHEMAS}/${schema}.cr" --json
+    RESULT_VARIABLE cold_exit
+    OUTPUT_VARIABLE cold_out
+    ERROR_QUIET)
+  if(NOT incremental_exit EQUAL cold_exit)
+    message(FATAL_ERROR "CRSAT_NO_INCREMENTAL=1 check ${schema}.cr --json: "
+      "exit ${cold_exit}, incremental run exited ${incremental_exit}")
+  endif()
+  classes_json(incremental_classes "${incremental_out}")
+  classes_json(cold_classes "${cold_out}")
+  if(NOT incremental_classes STREQUAL cold_classes)
+    message(FATAL_ERROR "CRSAT_NO_INCREMENTAL=1 check ${schema}.cr --json "
+      "changed the verdicts:\n${cold_classes}\nincremental:\n"
+      "${incremental_classes}")
+  endif()
+endforeach()
+
 message(STATUS "cli_exit_test: all exit-code expectations held")

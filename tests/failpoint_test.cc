@@ -256,13 +256,15 @@ void DriveIncrementalForceCold() {
 
 void DriveFastTierOverflow() {
   GetSimplexStats().Reset();
+  GetRecoveryStats().Reset();
   LpResult result = SimplexSolver::SolveWith(WideSystem(), Expr({{0, 1}}),
                                              /*maximize=*/true,
                                              SimplexOptions{})
                         .value();
   EXPECT_EQ(result.outcome, LpOutcome::kOptimal);
   EXPECT_EQ(result.objective, Rational(10));  // Exact tier, same answer.
-  EXPECT_GE(Load(GetSimplexStats().tier_fallbacks), 1u);
+  EXPECT_EQ(Load(GetSimplexStats().fast_solves), 0u);
+  EXPECT_GE(Load(GetRecoveryStats().tier_fallbacks), 1u);
 }
 
 void DriveWarmStartReject() {
@@ -553,42 +555,6 @@ TEST(MidRepairDegradationTest, GuardTripDuringRepairSurfacesAsResource) {
   ASSERT_FALSE(tripped.ok());
   EXPECT_TRUE(IsResourceLimitStatus(tripped.status().code()));
   EXPECT_EQ(guard.report().tripped, ResourceLimitKind::kInjected);
-}
-
-// --- Degradation policy ------------------------------------------------
-
-TEST(DegradationPolicyTest, ScopedPolicyAppliesAndRestores) {
-  const DegradationPolicy initial = GetDegradationPolicy();
-  EXPECT_TRUE(initial.allow_incremental);
-  EXPECT_TRUE(initial.allow_fast_tier);
-  {
-    DegradationPolicy pinned;
-    pinned.allow_incremental = false;
-    pinned.allow_fast_tier = false;
-    pinned.max_witness_rescales = 2;
-    ScopedDegradationPolicy scope(pinned);
-    EXPECT_FALSE(GetDegradationPolicy().allow_incremental);
-    EXPECT_FALSE(GetDegradationPolicy().allow_fast_tier);
-    EXPECT_EQ(GetDegradationPolicy().max_witness_rescales, 2);
-  }
-  EXPECT_TRUE(GetDegradationPolicy().allow_incremental);
-  EXPECT_EQ(GetDegradationPolicy().max_witness_rescales,
-            initial.max_witness_rescales);
-}
-
-TEST(DegradationPolicyTest, DisallowingFastTierForcesExactTier) {
-  DegradationPolicy exact_only;
-  exact_only.allow_fast_tier = false;
-  ScopedDegradationPolicy scope(exact_only);
-  GetSimplexStats().Reset();
-  LpResult result = SimplexSolver::SolveWith(WideSystem(), Expr({{0, 1}}),
-                                             /*maximize=*/true,
-                                             SimplexOptions{})
-                        .value();
-  EXPECT_EQ(result.outcome, LpOutcome::kOptimal);
-  EXPECT_EQ(result.objective, Rational(10));
-  EXPECT_EQ(Load(GetSimplexStats().fast_solves), 0u);
-  EXPECT_GE(Load(GetSimplexStats().tier_fallbacks), 1u);
 }
 
 // --- Chaos conformance: soundness + flip detection ---------------------

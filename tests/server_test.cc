@@ -222,8 +222,8 @@ TEST(ProtocolTest, ClampBudgetTakesTheTighterOfRequestAndCap) {
 // robin, drain.
 
 TEST(SchedulerTest, FifoWithinOneLane) {
-  ThreadPool pool(2);
-  RequestScheduler scheduler(&pool, {.max_concurrency = 1});
+  ThreadPool pool(1);  // One worker: single-file dispatch.
+  RequestScheduler scheduler(&pool, {});
   scheduler.OpenLane(1);
 
   Mutex mutex;
@@ -250,8 +250,8 @@ TEST(SchedulerTest, FairQueueingBoundsTheLightTenant) {
   // requests must all complete near the front — its worst-case position
   // is bounded by active lanes x longest request, not by the heavy
   // backlog length.
-  ThreadPool pool(2);
-  RequestScheduler scheduler(&pool, {.max_concurrency = 1});
+  ThreadPool pool(1);  // One worker: single-file dispatch.
+  RequestScheduler scheduler(&pool, {});
   scheduler.OpenLane(1);  // Heavy tenant.
   scheduler.OpenLane(2);  // Light tenant.
 
@@ -318,11 +318,10 @@ TEST(SchedulerTest, FairQueueingBoundsTheLightTenant) {
 }
 
 TEST(SchedulerTest, AdmissionControlShedsBeyondTheBounds) {
-  ThreadPool pool(2);
+  ThreadPool pool(1);  // One worker: single-file dispatch.
   RequestScheduler::Options options;
   options.max_queued = 4;
   options.max_queued_per_lane = 4;
-  options.max_concurrency = 1;
   RequestScheduler scheduler(&pool, options);
   scheduler.OpenLane(1);
 
@@ -368,8 +367,8 @@ TEST(SchedulerTest, AdmissionControlShedsBeyondTheBounds) {
 }
 
 TEST(SchedulerTest, DrainRefusesNewWorkAndFinishesAdmitted) {
-  ThreadPool pool(2);
-  RequestScheduler scheduler(&pool, {.max_concurrency = 1});
+  ThreadPool pool(1);  // One worker: single-file dispatch.
+  RequestScheduler scheduler(&pool, {});
   scheduler.OpenLane(1);
 
   std::atomic<int> ran{0};

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/degradation.h"
 #include "src/lp/simplex.h"
 #include "src/lp/small_rational.h"
 
@@ -165,6 +166,7 @@ TEST(TwoTierTest, BigCoefficientsFallBackAndStayExact) {
   system.AddGe(std::move(row2));
 
   GetSimplexStats().Reset();
+  GetRecoveryStats().Reset();
   LpResult two_tier =
       SimplexSolver::SolveWith(system, Expr({{x, 1}, {y, 1}}),
                                /*maximize=*/false, SimplexOptions())
@@ -181,7 +183,7 @@ TEST(TwoTierTest, BigCoefficientsFallBackAndStayExact) {
     EXPECT_EQ(two_tier.values, reference.values);
   }
   // The first solve must have abandoned the fast tier.
-  EXPECT_GE(GetSimplexStats().tier_fallbacks.load(), 1u);
+  EXPECT_GE(GetRecoveryStats().tier_fallbacks.load(), 1u);
   EXPECT_EQ(GetSimplexStats().fast_solves.load(), 0u);
 }
 
@@ -198,10 +200,10 @@ TEST(TwoTierTest, UnrepresentableInputFallsBackBeforePivoting) {
   row.AddTerm(x, Rational(huge));
   row.AddConstant(Rational(-1));
   system.AddGe(std::move(row));
-  GetSimplexStats().Reset();
+  GetRecoveryStats().Reset();
   LpResult result = SimplexSolver::CheckFeasibility(system).value();
   EXPECT_EQ(result.outcome, LpOutcome::kOptimal);
-  EXPECT_EQ(GetSimplexStats().tier_fallbacks.load(), 1u);
+  EXPECT_EQ(GetRecoveryStats().tier_fallbacks.load(), 1u);
 }
 
 TEST(TwoTierTest, StatsResetZeroesEverything) {
@@ -218,7 +220,6 @@ TEST(TwoTierTest, StatsResetZeroesEverything) {
   EXPECT_EQ(stats.phase1_pivots.load(), 0u);
   EXPECT_EQ(stats.fast_solves.load(), 0u);
   EXPECT_EQ(stats.fast_pivots.load(), 0u);
-  EXPECT_EQ(stats.tier_fallbacks.load(), 0u);
   EXPECT_EQ(stats.warm_start_hits.load(), 0u);
   EXPECT_EQ(stats.warm_start_misses.load(), 0u);
 }
