@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
         }));
   }
 
-  // Workload 3: support computations (parallel LP probe rounds + warm
+  // Workload 3: support computations (LP probe rounds + warm
   // starts) over the example schemas and a random sweep. The digest folds
   // every verdict and the exact witness, so a single nondeterministic
   // Rational anywhere fails the run.

@@ -955,7 +955,8 @@ int RealMain(int argc, char** argv) {
     return RunDebug(schema, argv[3]);
   }
   if (command == "implies") {
-    return Print(crsat::commands::Implies(schema, JoinArgs(3, argc, argv)));
+    return Print(crsat::commands::Implies(schema, JoinArgs(3, argc, argv),
+                                          /*guard=*/nullptr));
   }
   if (command == "checkstate" && argc == 4) {
     return RunCheckState(*parsed, argv[3]);

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "src/analysis/rules.h"
+#include "src/cr/schema_text.h"
 
 namespace crsat {
 
@@ -32,8 +33,7 @@ class RedundantIsaRule : public LintRule {
       Diagnostic diagnostic;
       diagnostic.rule = std::string(id());
       diagnostic.severity = Severity::kNote;
-      diagnostic.message = "isa " + schema.ClassName(isa[e].subclass) + " < " +
-                           schema.ClassName(isa[e].superclass) +
+      diagnostic.message = IsaToText(schema, isa[e]) +
                            " is redundant: already implied by the other ISA "
                            "statements";
       diagnostic.entities = {schema.ClassName(isa[e].subclass),

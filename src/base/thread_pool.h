@@ -23,14 +23,13 @@ class ResourceGuard;
 /// thread plus at most `n - 1` helper tasks, so `ThreadPool(1)` runs its
 /// loops inline. Nested `ParallelFor` calls issued from a loop body (on
 /// any lane, the caller's included) or from a posted task run inline on
-/// that thread (no deadlock, no oversubscription) — the reasoner relies
-/// on this when a parallel implication sweep reaches the parallel probe
-/// rounds underneath it.
+/// that thread (no deadlock, no oversubscription), so a loop body may
+/// call library code that has parallel loops of its own.
 ///
 /// Determinism contract: `ParallelFor` only schedules; callers that need
 /// bit-identical results across thread counts must make their *work*
-/// independent of scheduling (crsat's probe rounds collect per-index
-/// results and apply them in index order afterwards).
+/// independent of scheduling (crsat's batched implication sweep collects
+/// per-index results and applies them in index order afterwards).
 ///
 /// Lock discipline (statically checked under Clang `-Wthread-safety`):
 /// `mutex_` guards the task queue and the stop flag; `wake_` signals

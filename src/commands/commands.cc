@@ -92,11 +92,11 @@ std::string SolverStatsJson() {
 // means the query does not fit the schema (role outside the
 // relationship, class outside the role's primary class, unsatisfiable
 // class), which is a bad request like an unknown name.
-CommandResult QueryFailure(const Status& status) {
+CommandResult QueryFailure(const Status& status, const ResourceGuard* guard) {
   if (status.code() == StatusCode::kInvalidArgument) {
     return ErrorResult(kExitUsage, "implies: " + status.ToString());
   }
-  return Failure(status, nullptr, /*json=*/false);
+  return Failure(status, guard, /*json=*/false);
 }
 
 }  // namespace
@@ -290,7 +290,8 @@ CommandResult Lint(const std::string& display_name,
   return {exit_code, out.str(), ""};
 }
 
-CommandResult Implies(const Schema& schema, std::string_view words) {
+CommandResult Implies(const Schema& schema, std::string_view words,
+                      ResourceGuard* guard) {
   std::vector<std::string> args;
   std::istringstream in{std::string(words)};
   for (std::string word; in >> word;) {
@@ -309,15 +310,18 @@ CommandResult Implies(const Schema& schema, std::string_view words) {
   if (!cls.has_value()) {
     return bad_request("no class named '" + args[1] + "'");
   }
+  ExpansionOptions options;
+  options.guard = guard;
   std::ostringstream out;
   if (isa) {
     const std::optional<ClassId> super = schema.FindClass(args[2]);
     if (!super.has_value()) {
       return bad_request("no class named '" + args[2] + "'");
     }
-    Result<bool> implied = ImplicationChecker::ImpliesIsa(schema, *cls, *super);
+    Result<bool> implied =
+        ImplicationChecker::ImpliesIsa(schema, *cls, *super, options);
     if (!implied.ok()) {
-      return QueryFailure(implied.status());
+      return QueryFailure(implied.status(), guard);
     }
     out << args[1] << " <= " << args[2] << ": "
         << (*implied ? "implied" : "not implied") << "\n";
@@ -331,15 +335,20 @@ CommandResult Implies(const Schema& schema, std::string_view words) {
   if (!role.has_value()) {
     return bad_request("no role named '" + args[3] + "'");
   }
-  Result<std::uint64_t> min =
-      ImplicationChecker::TightestImpliedMin(schema, *cls, *rel, *role);
+  // One engine (one extended expansion) answers both bounds.
+  Result<CardinalityImplicationEngine> engine =
+      CardinalityImplicationEngine::Create(schema, *cls, *rel, *role, options);
+  if (!engine.ok()) {
+    return QueryFailure(engine.status(), guard);
+  }
+  Result<std::uint64_t> min = engine->TightestMin();
   if (!min.ok()) {
-    return QueryFailure(min.status());
+    return QueryFailure(min.status(), guard);
   }
   Result<std::optional<std::uint64_t>> max =
-      ImplicationChecker::TightestImpliedMax(schema, *cls, *rel, *role);
+      engine->TightestMax(/*search_limit=*/64);
   if (!max.ok()) {
-    return QueryFailure(max.status());
+    return QueryFailure(max.status(), guard);
   }
   out << "tightest implied cardinality of (" << args[1] << ", " << args[2]
       << ", " << args[3] << "): (" << *min << ", "

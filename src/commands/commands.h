@@ -62,8 +62,10 @@ CommandResult Lint(const std::string& display_name,
 /// `implies` (§4): `words` is "isa <Sub> <Super>" or
 /// "card <Class> <Rel> <Role>", whitespace-separated. A wrong word count,
 /// an unknown name, or a query the implication checker rejects as invalid
-/// for this schema is exit 2 with the reason on stderr.
-CommandResult Implies(const Schema& schema, std::string_view words);
+/// for this schema is exit 2 with the reason on stderr. The query runs
+/// under `guard` (may be null); a trip is exit 3 with the trip report.
+CommandResult Implies(const Schema& schema, std::string_view words,
+                      ResourceGuard* guard);
 
 }  // namespace commands
 }  // namespace crsat

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
@@ -157,10 +158,9 @@ class Schema {
   /// All relationship ids.
   std::vector<RelationshipId> AllRelationships() const;
 
-  /// Returns a builder pre-populated with all of this schema's
-  /// declarations, so callers can derive extended schemas (e.g. the
-  /// implication checker's auxiliary-class construction, or the unsat-core
-  /// minimizer's constraint-dropping probes).
+  /// Returns a builder whose lists hold this schema's declarations, index
+  /// for index (see `SchemaBuilder`), so callers can derive edited
+  /// schemas.
   SchemaBuilder ToBuilder() const;
 
  private:
@@ -192,7 +192,8 @@ class Schema {
   std::vector<CoveringConstraint> covering_constraints_;
 };
 
-/// Incremental, validating builder for `Schema`.
+/// Incremental, validating builder for `Schema`, and the one editable
+/// form of a schema.
 ///
 /// Usage:
 ///
@@ -205,11 +206,40 @@ class Schema {
 ///   builder.SetCardinality("Speaker", "Holds", "U1", {1, std::nullopt});
 ///   Result<Schema> schema = builder.Build();
 ///
-/// Name-based overloads resolve lazily at `Build()`, so declarations can
-/// reference classes introduced later. Errors accumulate and are reported
-/// together by `Build()`.
+/// Declarations are kept as name-based lists, resolved lazily at
+/// `Build()`, so they can reference classes introduced later. Errors
+/// accumulate and are reported together by `Build()`.
+///
+/// The lists are public: schema surgery (unsat-core minimization, repair
+/// search, the conformance minimizer, the metamorphic rewrites) takes
+/// `Schema::ToBuilder()`, edits or erases entries, and calls `Build()`
+/// again. On a well-formed schema `Build()` keeps every declaration, in
+/// order, so entry `i` of each list is entry `i` of the matching `Schema`
+/// accessor (`AllClasses`, `AllRelationships`, `isa_statements`,
+/// `cardinality_declarations`, `disjointness_constraints`,
+/// `covering_constraints`) both before and after the round trip.
 class SchemaBuilder {
  public:
+  struct Relationship {
+    std::string name;
+    /// (role name, primary class name) in declaration order.
+    std::vector<std::pair<std::string, std::string>> roles;
+  };
+  struct Isa {
+    std::string subclass;
+    std::string superclass;
+  };
+  struct Card {
+    std::string cls;
+    std::string rel;
+    std::string role;
+    Cardinality cardinality;
+  };
+  struct Cover {
+    std::string covered;
+    std::vector<std::string> coverers;
+  };
+
   SchemaBuilder() = default;
 
   /// Declares a class. Re-declaring the same name is an error (reported at
@@ -231,7 +261,7 @@ class SchemaBuilder {
                       const std::string& role, Cardinality cardinality);
 
   /// Declares the classes pairwise disjoint (Section 5 extension).
-  void AddDisjointness(const std::vector<std::string>& classes);
+  void AddDisjointness(const std::vector<std::string>& group);
 
   /// Declares that `covered`'s extension is contained in the union of the
   /// coverers' extensions (Section 5 extension).
@@ -250,35 +280,14 @@ class SchemaBuilder {
   /// detected problem in one error message.
   Result<Schema> Build() const;
 
- private:
-  struct PendingRelationship {
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> roles;
-  };
-  struct PendingIsa {
-    std::string subclass;
-    std::string superclass;
-  };
-  struct PendingCardinality {
-    std::string cls;
-    std::string rel;
-    std::string role;
-    Cardinality cardinality;
-  };
-  struct PendingDisjointness {
-    std::vector<std::string> classes;
-  };
-  struct PendingCovering {
-    std::string covered;
-    std::vector<std::string> coverers;
-  };
+  std::vector<std::string> classes;
+  std::vector<Relationship> relationships;
+  std::vector<Isa> isa;
+  std::vector<Card> cards;
+  std::vector<std::vector<std::string>> disjointness;
+  std::vector<Cover> coverings;
 
-  std::vector<std::string> classes_;
-  std::vector<PendingRelationship> relationships_;
-  std::vector<PendingIsa> isa_;
-  std::vector<PendingCardinality> cardinalities_;
-  std::vector<PendingDisjointness> disjointness_;
-  std::vector<PendingCovering> coverings_;
+ private:
   bool permit_empty_ranges_ = false;
 };
 

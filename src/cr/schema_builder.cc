@@ -7,73 +7,71 @@
 namespace crsat {
 
 ClassId SchemaBuilder::AddClass(const std::string& name) {
-  classes_.push_back(name);
-  return ClassId(static_cast<int>(classes_.size()) - 1);
+  classes.push_back(name);
+  return ClassId(static_cast<int>(classes.size()) - 1);
 }
 
 RelationshipId SchemaBuilder::AddRelationship(
     const std::string& name,
     const std::vector<std::pair<std::string, std::string>>& roles) {
-  relationships_.push_back(PendingRelationship{name, roles});
-  return RelationshipId(static_cast<int>(relationships_.size()) - 1);
+  relationships.push_back(Relationship{name, roles});
+  return RelationshipId(static_cast<int>(relationships.size()) - 1);
 }
 
 void SchemaBuilder::AddIsa(const std::string& subclass,
                            const std::string& superclass) {
-  isa_.push_back(PendingIsa{subclass, superclass});
+  isa.push_back(Isa{subclass, superclass});
 }
 
 void SchemaBuilder::SetCardinality(const std::string& cls,
                                    const std::string& rel,
                                    const std::string& role,
                                    Cardinality cardinality) {
-  cardinalities_.push_back(PendingCardinality{cls, rel, role, cardinality});
+  cards.push_back(Card{cls, rel, role, cardinality});
 }
 
-void SchemaBuilder::AddDisjointness(const std::vector<std::string>& classes) {
-  disjointness_.push_back(PendingDisjointness{classes});
+void SchemaBuilder::AddDisjointness(const std::vector<std::string>& group) {
+  disjointness.push_back(group);
 }
 
 void SchemaBuilder::AddCovering(const std::string& covered,
                                 const std::vector<std::string>& coverers) {
-  coverings_.push_back(PendingCovering{covered, coverers});
+  coverings.push_back(Cover{covered, coverers});
 }
 
 SchemaBuilder Schema::ToBuilder() const {
   SchemaBuilder builder;
-  for (const std::string& name : class_names_) {
-    builder.AddClass(name);
-  }
+  builder.classes = class_names_;
   for (size_t r = 0; r < relationship_names_.size(); ++r) {
-    std::vector<std::pair<std::string, std::string>> roles;
+    SchemaBuilder::Relationship& relationship =
+        builder.relationships.emplace_back();
+    relationship.name = relationship_names_[r];
     for (RoleId role : relationship_roles_[r]) {
-      roles.emplace_back(role_names_[role.value],
-                         class_names_[role_primary_class_[role.value].value]);
+      relationship.roles.emplace_back(
+          role_names_[role.value],
+          class_names_[role_primary_class_[role.value].value]);
     }
-    builder.AddRelationship(relationship_names_[r], roles);
   }
-  for (const IsaStatement& isa : isa_statements_) {
-    builder.AddIsa(class_names_[isa.subclass.value],
-                   class_names_[isa.superclass.value]);
+  for (const IsaStatement& statement : isa_statements_) {
+    builder.isa.push_back(
+        {ClassName(statement.subclass), ClassName(statement.superclass)});
   }
   for (const CardinalityDeclaration& decl : cardinality_declarations_) {
-    builder.SetCardinality(class_names_[decl.cls.value],
-                           relationship_names_[decl.rel.value],
-                           role_names_[decl.role.value], decl.cardinality);
+    builder.cards.push_back({ClassName(decl.cls), RelationshipName(decl.rel),
+                             RoleName(decl.role), decl.cardinality});
   }
   for (const DisjointnessConstraint& group : disjointness_constraints_) {
-    std::vector<std::string> names;
+    std::vector<std::string>& names = builder.disjointness.emplace_back();
     for (ClassId cls : group.classes) {
-      names.push_back(class_names_[cls.value]);
+      names.push_back(ClassName(cls));
     }
-    builder.AddDisjointness(names);
   }
   for (const CoveringConstraint& constraint : covering_constraints_) {
-    std::vector<std::string> coverers;
+    SchemaBuilder::Cover& cover = builder.coverings.emplace_back();
+    cover.covered = ClassName(constraint.covered);
     for (ClassId cls : constraint.coverers) {
-      coverers.push_back(class_names_[cls.value]);
+      cover.coverers.push_back(ClassName(cls));
     }
-    builder.AddCovering(class_names_[constraint.covered.value], coverers);
   }
   return builder;
 }
@@ -83,7 +81,7 @@ Result<Schema> SchemaBuilder::Build() const {
   std::vector<std::string> errors;
 
   // Classes.
-  for (const std::string& name : classes_) {
+  for (const std::string& name : classes) {
     if (name.empty()) {
       errors.push_back("class with empty name");
       continue;
@@ -107,7 +105,7 @@ Result<Schema> SchemaBuilder::Build() const {
   };
 
   // Relationships and roles.
-  for (const PendingRelationship& pending : relationships_) {
+  for (const Relationship& pending : relationships) {
     if (pending.name.empty()) {
       errors.push_back("relationship with empty name");
       continue;
@@ -158,7 +156,7 @@ Result<Schema> SchemaBuilder::Build() const {
   for (int c = 0; c < n; ++c) {
     schema.isa_closure_[c][c] = true;
   }
-  for (const PendingIsa& pending : isa_) {
+  for (const Isa& pending : isa) {
     std::optional<ClassId> sub = resolve_class(pending.subclass, "isa");
     std::optional<ClassId> super = resolve_class(pending.superclass, "isa");
     if (!sub.has_value() || !super.has_value()) {
@@ -181,7 +179,7 @@ Result<Schema> SchemaBuilder::Build() const {
   }
 
   // Cardinality declarations.
-  for (const PendingCardinality& pending : cardinalities_) {
+  for (const Card& pending : cards) {
     std::optional<ClassId> cls =
         resolve_class(pending.cls, "cardinality declaration");
     auto rel_it = schema.relationship_by_name_.find(pending.rel);
@@ -235,15 +233,15 @@ Result<Schema> SchemaBuilder::Build() const {
   }
 
   // Disjointness groups.
-  for (const PendingDisjointness& pending : disjointness_) {
-    if (pending.classes.size() < 2) {
+  for (const std::vector<std::string>& pending : disjointness) {
+    if (pending.size() < 2) {
       errors.push_back("disjointness group needs at least two classes");
       continue;
     }
     DisjointnessConstraint group;
     std::set<int> seen;
     bool valid = true;
-    for (const std::string& name : pending.classes) {
+    for (const std::string& name : pending) {
       std::optional<ClassId> cls = resolve_class(name, "disjointness");
       if (!cls.has_value()) {
         valid = false;
@@ -262,7 +260,7 @@ Result<Schema> SchemaBuilder::Build() const {
   }
 
   // Covering constraints.
-  for (const PendingCovering& pending : coverings_) {
+  for (const Cover& pending : coverings) {
     std::optional<ClassId> covered = resolve_class(pending.covered, "cover");
     if (pending.coverers.empty()) {
       errors.push_back("covering of '" + pending.covered +

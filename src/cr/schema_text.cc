@@ -184,6 +184,18 @@ class Parser : private TokenCursor {
   SchemaSourceMap source_map_;
 };
 
+// "A, B, C".
+std::string ClassList(const Schema& schema, const std::vector<ClassId>& list) {
+  std::string text;
+  for (size_t i = 0; i < list.size(); ++i) {
+    if (i > 0) {
+      text += ", ";
+    }
+    text += schema.ClassName(list[i]);
+  }
+  return text;
+}
+
 }  // namespace
 
 Result<NamedSchema> ParseSchema(std::string_view text) {
@@ -198,14 +210,36 @@ Result<NamedSchema> ParseSchema(std::string_view text,
   return parser.Parse();
 }
 
+std::string IsaToText(const Schema& schema, const IsaStatement& isa) {
+  return "isa " + schema.ClassName(isa.subclass) + " < " +
+         schema.ClassName(isa.superclass);
+}
+
+std::string CardinalityToText(const Schema& schema,
+                              const CardinalityDeclaration& decl) {
+  return "card " + schema.ClassName(decl.cls) + " in " +
+         schema.RelationshipName(decl.rel) + "." +
+         schema.RoleName(decl.role) + " = " + decl.cardinality.ToString();
+}
+
+std::string DisjointnessToText(const Schema& schema,
+                               const DisjointnessConstraint& group) {
+  return "disjoint " + ClassList(schema, group.classes);
+}
+
+std::string CoveringToText(const Schema& schema,
+                           const CoveringConstraint& constraint) {
+  return "cover " + schema.ClassName(constraint.covered) + " by " +
+         ClassList(schema, constraint.coverers);
+}
+
 std::string SchemaToText(const Schema& schema, const std::string& name) {
   std::string text = "schema " + name + " {\n";
   for (ClassId cls : schema.AllClasses()) {
     text += "  class " + schema.ClassName(cls) + ";\n";
   }
   for (const IsaStatement& isa : schema.isa_statements()) {
-    text += "  isa " + schema.ClassName(isa.subclass) + " < " +
-            schema.ClassName(isa.superclass) + ";\n";
+    text += "  " + IsaToText(schema, isa) + ";\n";
   }
   for (RelationshipId rel : schema.AllRelationships()) {
     text += "  relationship " + schema.RelationshipName(rel) + "(";
@@ -221,35 +255,14 @@ std::string SchemaToText(const Schema& schema, const std::string& name) {
   }
   for (const CardinalityDeclaration& decl :
        schema.cardinality_declarations()) {
-    text += "  card " + schema.ClassName(decl.cls) + " in " +
-            schema.RelationshipName(decl.rel) + "." +
-            schema.RoleName(decl.role) + " = (" +
-            std::to_string(decl.cardinality.min) + ", ";
-    text += decl.cardinality.max.has_value()
-                ? std::to_string(*decl.cardinality.max)
-                : "*";
-    text += ");\n";
+    text += "  " + CardinalityToText(schema, decl) + ";\n";
   }
   for (const DisjointnessConstraint& group :
        schema.disjointness_constraints()) {
-    text += "  disjoint ";
-    for (size_t i = 0; i < group.classes.size(); ++i) {
-      if (i > 0) {
-        text += ", ";
-      }
-      text += schema.ClassName(group.classes[i]);
-    }
-    text += ";\n";
+    text += "  " + DisjointnessToText(schema, group) + ";\n";
   }
   for (const CoveringConstraint& constraint : schema.covering_constraints()) {
-    text += "  cover " + schema.ClassName(constraint.covered) + " by ";
-    for (size_t i = 0; i < constraint.coverers.size(); ++i) {
-      if (i > 0) {
-        text += ", ";
-      }
-      text += schema.ClassName(constraint.coverers[i]);
-    }
-    text += ";\n";
+    text += "  " + CoveringToText(schema, constraint) + ";\n";
   }
   text += "}\n";
   return text;

@@ -74,6 +74,19 @@ Result<NamedSchema> ParseSchema(std::string_view text,
 /// (round-trips up to formatting).
 std::string SchemaToText(const Schema& schema, const std::string& name);
 
+/// One declaration of `schema` as the DSL writes it, without the closing
+/// `;`: "isa Sub < Super", "card C in R.U = (m, n)", "disjoint A, B",
+/// "cover C by A, B". `SchemaToText`, the unsat core's descriptions, the
+/// repair suggestions and the lint messages all print declarations
+/// through these.
+std::string IsaToText(const Schema& schema, const IsaStatement& isa);
+std::string CardinalityToText(const Schema& schema,
+                              const CardinalityDeclaration& decl);
+std::string DisjointnessToText(const Schema& schema,
+                               const DisjointnessConstraint& group);
+std::string CoveringToText(const Schema& schema,
+                           const CoveringConstraint& constraint);
+
 /// Renders `schema` as a Graphviz DOT digraph using the paper's ER-diagram
 /// conventions (Figure 2): classes as boxes, relationships as diamonds,
 /// role edges labeled with the role name and its `(min, max)`, ISA as

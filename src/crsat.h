@@ -65,7 +65,6 @@
 #include "src/oracle/brute_force.h"
 #include "src/oracle/conformance.h"
 #include "src/oracle/metamorphic.h"
-#include "src/oracle/schema_parts.h"
 #include "src/reasoner/implication.h"
 #include "src/reasoner/implication_engine.h"
 #include "src/reasoner/repair.h"

@@ -4,14 +4,12 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "src/base/degradation.h"
 #include "src/base/failpoint.h"
 #include "src/base/incremental.h"
 #include "src/base/resource_guard.h"
-#include "src/base/thread_pool.h"
 #include "src/lp/small_rational.h"
 
 namespace crsat {
@@ -184,7 +182,7 @@ Result<SupportResult> ComputeMaximalSupport(
     }
     pinned.AddConstraint(std::move(remapped), constraint.sense);
   }
-  // Parallel group probing. Each probe asks one feasibility question about
+  // Group probing. Each probe asks one feasibility question about
   // a group G of still-undetermined variables:
   //
   //   sum of G >= 1
@@ -198,26 +196,19 @@ Result<SupportResult> ComputeMaximalSupport(
   //
   // Round 0 probes all undetermined variables as ONE group — the common
   // case (most variables supported, or the whole cone trivial) then costs
-  // a single LP exactly like the serial algorithm did. Later rounds split
-  // the survivors into up to kMaxGroupsPerRound groups probed concurrently
-  // on the global pool: the probes share only the immutable pinned system,
-  // so they are embarrassingly parallel. Every group shrinks the
-  // undetermined set each round (infeasible => members removed as proven
-  // zero; feasible => >= 1 member marked positive), so the loop terminates.
-  //
-  // Determinism: the grouping depends only on the round index and the
-  // undetermined list — never on the thread count — and verdicts are
-  // collected first, then applied in group-index order, so pivot counts,
-  // witnesses, and verdicts are bit-identical at any parallelism.
+  // a single LP. Later rounds split the survivors into up to
+  // kMaxGroupsPerRound groups, probed one after another. Every group
+  // shrinks the undetermined set each round (infeasible => members removed
+  // as proven zero; feasible => >= 1 member marked positive), so the loop
+  // terminates.
   //
   // Warm starts: every probe in this call has the same shape (the pinned
   // system plus one `>= 1` row), so a local carry — seeded from
-  // `basis_cache`, refreshed after each round from the first feasible
+  // `basis_cache`, replaced after each round by the first feasible
   // probe's export, stored back at the end — lets each probe start from
   // the previous vertex and repair primal feasibility with a few dual
-  // pivots instead of a cold phase 1. Probes read the carry concurrently
-  // (const access only); it is updated, and the cache touched, strictly
-  // between rounds.
+  // pivots instead of a cold phase 1. Every probe of a round starts from
+  // the carry the round started with.
   // Incremental path: compute the whole maximal support with ONE LP
   // instead of O(support) feasibility probes. For each unpinned variable
   // x_u add a deficit variable y_u >= 0 with `x_u + y_u >= 1`, and
@@ -330,20 +321,15 @@ Result<SupportResult> ComputeMaximalSupport(
     ++round;
     // Contiguous chunks of the (deterministically ordered) undetermined
     // list; chunk g covers [g*U/G, (g+1)*U/G).
-    std::vector<std::vector<VarId>> groups(num_groups);
+    std::vector<bool> proven_zero(pinned.num_variables(), false);
+    WarmStartBasis next_carry;
     for (size_t g = 0; g < num_groups; ++g) {
       const size_t begin = g * undetermined.size() / num_groups;
       const size_t end = (g + 1) * undetermined.size() / num_groups;
-      groups[g].assign(undetermined.begin() + begin,
-                       undetermined.begin() + end);
-    }
-    std::vector<std::optional<Result<LpResult>>> verdicts(num_groups);
-    std::vector<WarmStartBasis> exported(num_groups);
-    GlobalThreadPool().ParallelFor(num_groups, [&](size_t g) {
       LinearSystem probe = pinned;
       LinearExpr at_least_one;
-      for (VarId v : groups[g]) {
-        at_least_one.AddTerm(v, Rational(1));
+      for (size_t i = begin; i < end; ++i) {
+        at_least_one.AddTerm(undetermined[i], Rational(1));
       }
       at_least_one.AddConstant(Rational(-1));
       probe.AddGe(std::move(at_least_one));
@@ -351,45 +337,35 @@ Result<SupportResult> ComputeMaximalSupport(
       if (!carry.empty()) {
         options.warm_start = &carry;
       }
-      options.export_basis = &exported[g];
+      WarmStartBasis exported;
+      options.export_basis = &exported;
       options.guard = guard;
-      verdicts[g] = SimplexSolver::SolveWith(probe, LinearExpr(),
-                                             /*maximize=*/false, options);
-    }, guard);
-    // Apply verdicts serially in group-index order.
-    std::vector<bool> proven_zero(pinned.num_variables(), false);
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (!verdicts[g].has_value()) {
-        // The pool skipped this probe after a guard trip.
-        return guard->TripStatus();
+      CRSAT_ASSIGN_OR_RETURN(
+          LpResult verdict,
+          SimplexSolver::SolveWith(probe, LinearExpr(), /*maximize=*/false,
+                                   options));
+      if (next_carry.empty()) {
+        next_carry = std::move(exported);
       }
-      const Result<LpResult>& verdict = *verdicts[g];
-      if (!verdict.ok()) {
-        return verdict.status();
-      }
-      if (verdict->outcome != LpOutcome::kOptimal) {
+      if (verdict.outcome != LpOutcome::kOptimal) {
         // No solution of the pinned system makes any member of this group
         // positive; they are settled (and stay out of later witnesses).
-        for (VarId v : groups[g]) {
-          proven_zero[v] = true;
+        for (size_t i = begin; i < end; ++i) {
+          proven_zero[undetermined[i]] = true;
         }
         continue;
       }
       for (VarId u = 0; u < pinned.num_variables(); ++u) {
-        result.witness[from_probe[u]] += verdict->values[u];
-        if (verdict->values[u].IsPositive()) {
+        result.witness[from_probe[u]] += verdict.values[u];
+        if (verdict.values[u].IsPositive()) {
           result.positive[from_probe[u]] = true;
         }
       }
     }
-    // Adopt the first feasible probe's basis (group order, so independent
-    // of scheduling) as the carry for the next round and, ultimately, the
-    // caller's next same-shaped call.
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (!exported[g].empty()) {
-        carry = std::move(exported[g]);
-        break;
-      }
+    // The first feasible probe's basis seeds the next round and,
+    // ultimately, the caller's next same-shaped call.
+    if (!next_carry.empty()) {
+      carry = std::move(next_carry);
     }
     std::vector<VarId> still_undetermined;
     for (VarId v : undetermined) {

@@ -69,10 +69,11 @@ struct SupportResult {
 /// `system + {x_u = 0 : forced} + {sum of a group >= 1}`.
 /// `forced_zero.size()` must equal `system.num_variables()`.
 ///
-/// Probes within a round are independent (they share only the immutable
-/// pinned system) and run concurrently on the global thread pool. Grouping
-/// and verdict application are independent of the thread count, so results
-/// are bit-identical at any parallelism.
+/// The probes run serially, in rounds: round 0 probes every variable as
+/// one group, later rounds split the still-undetermined variables into up
+/// to eight contiguous groups. When `IncrementalReasoningEnabled()`, one
+/// cover LP computes the whole support instead, and the rounds run only
+/// if it fails.
 ///
 /// `basis_cache`, when non-null, threads warm-start bases across
 /// *successive calls* (e.g. the implication engine's bisection probes,
@@ -80,18 +81,16 @@ struct SupportResult {
 /// satisfiability fixpoint whose pinned-out set grows between iterations).
 /// Every probe of this call shares one shape — the pinned system plus a
 /// single `>= 1` row — so the call keeps a local carry: it is seeded from
-/// the cache entry for that shape, every probe (in every round) offers it
-/// to the solver, after each round the first feasible probe's exported
-/// basis (in group order, so deterministic at any thread count) becomes
-/// the new carry, and the final carry is stored back. A carried basis that
-/// is no longer primal-feasible for a probe is repaired by dual pivots
-/// (see `SimplexOptions::warm_start`); reuse affects cost only, never
-/// verdicts. The cache is touched only outside the parallel region —
-/// concurrent probes share the carry read-only.
+/// the cache entry for that shape, every probe of a round offers the carry
+/// the round started with to the solver, after each round the first
+/// feasible probe's exported basis becomes the new carry, and the final
+/// carry is stored back. A carried basis that is no longer primal-feasible
+/// for a probe is repaired by dual pivots (see
+/// `SimplexOptions::warm_start`); reuse affects cost only, never verdicts.
 ///
-/// `guard`, when non-null, is polled between probe rounds, by every lane of
-/// the parallel probe sweep, and per pivot inside each probe's solve; a
-/// trip aborts the computation with the guard's status.
+/// `guard`, when non-null, is polled between probe rounds and per pivot
+/// inside each probe's solve; a trip aborts the computation with the
+/// guard's status.
 Result<SupportResult> ComputeMaximalSupport(
     const LinearSystem& system, const std::vector<bool>& forced_zero,
     WarmStartBasisCache* basis_cache = nullptr,

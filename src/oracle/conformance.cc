@@ -23,7 +23,6 @@
 #include "src/expansion/expansion.h"
 #include "src/generator/random_schema.h"
 #include "src/oracle/metamorphic.h"
-#include "src/oracle/schema_parts.h"
 #include "src/reasoner/satisfiability.h"
 #include "src/saturation/graph.h"
 #include "src/saturation/saturation.h"
@@ -131,18 +130,18 @@ bool WitnessFitsBounds(const Interpretation& witness,
   return true;
 }
 
-/// Greedy delta-debugging over SchemaParts: repeatedly drop any single
-/// declaration (covering, disjointness, cardinality, ISA edge, or a whole
-/// relationship with its cardinalities) as long as `disagrees` still holds
-/// on the rebuilt schema. Classes are never dropped so class ids stay
+/// Greedy delta-debugging over `schema.ToBuilder()`: repeatedly drop any
+/// single declaration (covering, disjointness, cardinality, ISA edge, or a
+/// whole relationship with its cardinalities) as long as `disagrees` still
+/// holds on the rebuilt schema. Classes are never dropped so class ids stay
 /// stable for the predicate. Returns the shrunk schema's text, or "" when
 /// nothing was removable.
 std::string MinimizeDisagreement(
     const Schema& schema, const std::function<bool(const Schema&)>& disagrees,
     int budget) {
-  SchemaParts parts = SchemaParts::FromSchema(schema);
+  SchemaBuilder parts = schema.ToBuilder();
   int evaluations = 0;
-  auto still_disagrees = [&](const SchemaParts& candidate) {
+  auto still_disagrees = [&](const SchemaBuilder& candidate) {
     if (evaluations >= budget) {
       return false;
     }
@@ -151,10 +150,10 @@ std::string MinimizeDisagreement(
     return built.ok() && disagrees(*built);
   };
   auto try_drop_each = [&](size_t count,
-                           const std::function<void(SchemaParts*, size_t)>&
+                           const std::function<void(SchemaBuilder*, size_t)>&
                                erase) {
     for (size_t i = 0; i < count; ++i) {
-      SchemaParts candidate = parts;
+      SchemaBuilder candidate = parts;
       erase(&candidate, i);
       if (still_disagrees(candidate)) {
         parts = std::move(candidate);
@@ -168,28 +167,28 @@ std::string MinimizeDisagreement(
   while (progress) {
     progress =
         try_drop_each(parts.coverings.size(),
-                      [](SchemaParts* p, size_t i) {
+                      [](SchemaBuilder* p, size_t i) {
                         p->coverings.erase(p->coverings.begin() + i);
                       }) ||
         try_drop_each(parts.disjointness.size(),
-                      [](SchemaParts* p, size_t i) {
+                      [](SchemaBuilder* p, size_t i) {
                         p->disjointness.erase(p->disjointness.begin() + i);
                       }) ||
         try_drop_each(parts.cards.size(),
-                      [](SchemaParts* p, size_t i) {
+                      [](SchemaBuilder* p, size_t i) {
                         p->cards.erase(p->cards.begin() + i);
                       }) ||
         try_drop_each(parts.isa.size(),
-                      [](SchemaParts* p, size_t i) {
+                      [](SchemaBuilder* p, size_t i) {
                         p->isa.erase(p->isa.begin() + i);
                       }) ||
         try_drop_each(
-            parts.relationships.size(), [](SchemaParts* p, size_t i) {
+            parts.relationships.size(), [](SchemaBuilder* p, size_t i) {
               const std::string name = p->relationships[i].name;
               p->relationships.erase(p->relationships.begin() + i);
               p->cards.erase(
                   std::remove_if(p->cards.begin(), p->cards.end(),
-                                 [&name](const SchemaParts::Card& card) {
+                                 [&name](const SchemaBuilder::Card& card) {
                                    return card.rel == name;
                                  }),
                   p->cards.end());

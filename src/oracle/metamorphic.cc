@@ -4,14 +4,14 @@
 #include <utility>
 
 #include "src/base/deterministic.h"
-#include "src/oracle/schema_parts.h"
 
 namespace crsat {
 
 namespace {
 
 /// A fresh class name not already declared.
-std::string FreshClassName(const SchemaParts& parts, const std::string& stem) {
+std::string FreshClassName(const SchemaBuilder& parts,
+                           const std::string& stem) {
   int suffix = static_cast<int>(parts.classes.size());
   while (true) {
     std::string candidate = stem + std::to_string(suffix);
@@ -28,23 +28,23 @@ std::string FreshClassName(const SchemaParts& parts, const std::string& stem) {
 // error). Rules must never remove or reorder classes: the contract maps
 // original class ids onto themselves, with fresh classes appended.
 
-bool RenameEntities(const Schema&, SchemaParts* parts, DeterministicRng*) {
+bool RenameEntities(const Schema&, SchemaBuilder* parts, DeterministicRng*) {
   auto rename = [](std::string* name) { *name = "m_" + *name; };
   for (std::string& name : parts->classes) {
     rename(&name);
   }
-  for (SchemaParts::Relationship& relationship : parts->relationships) {
+  for (SchemaBuilder::Relationship& relationship : parts->relationships) {
     rename(&relationship.name);
     for (auto& [role_name, class_name] : relationship.roles) {
       rename(&role_name);
       rename(&class_name);
     }
   }
-  for (SchemaParts::Isa& isa : parts->isa) {
+  for (SchemaBuilder::Isa& isa : parts->isa) {
     rename(&isa.subclass);
     rename(&isa.superclass);
   }
-  for (SchemaParts::Card& card : parts->cards) {
+  for (SchemaBuilder::Card& card : parts->cards) {
     rename(&card.cls);
     rename(&card.rel);
     rename(&card.role);
@@ -54,7 +54,7 @@ bool RenameEntities(const Schema&, SchemaParts* parts, DeterministicRng*) {
       rename(&name);
     }
   }
-  for (SchemaParts::Cover& cover : parts->coverings) {
+  for (SchemaBuilder::Cover& cover : parts->coverings) {
     rename(&cover.covered);
     for (std::string& name : cover.coverers) {
       rename(&name);
@@ -63,11 +63,12 @@ bool RenameEntities(const Schema&, SchemaParts* parts, DeterministicRng*) {
   return true;
 }
 
-bool PermuteRoles(const Schema&, SchemaParts* parts, DeterministicRng* rng) {
+bool PermuteRoles(const Schema&, SchemaBuilder* parts,
+                  DeterministicRng* rng) {
   if (parts->relationships.empty()) {
     return false;
   }
-  for (SchemaParts::Relationship& relationship : parts->relationships) {
+  for (SchemaBuilder::Relationship& relationship : parts->relationships) {
     const int arity = static_cast<int>(relationship.roles.size());
     // Rotate by a nonzero offset: tuples are stored per role order, so
     // this genuinely permutes every extension's component layout.
@@ -80,12 +81,12 @@ bool PermuteRoles(const Schema&, SchemaParts* parts, DeterministicRng* rng) {
   return true;
 }
 
-bool RelaxCardinalities(const Schema&, SchemaParts* parts,
+bool RelaxCardinalities(const Schema&, SchemaBuilder* parts,
                         DeterministicRng* rng) {
   if (parts->cards.empty()) {
     return false;
   }
-  for (SchemaParts::Card& card : parts->cards) {
+  for (SchemaBuilder::Card& card : parts->cards) {
     card.cardinality.min = static_cast<std::uint64_t>(
         rng->UniformInt(0, static_cast<int>(card.cardinality.min)));
     if (card.cardinality.max.has_value()) {
@@ -100,12 +101,12 @@ bool RelaxCardinalities(const Schema&, SchemaParts* parts,
   return true;
 }
 
-bool TightenCardinalities(const Schema&, SchemaParts* parts,
+bool TightenCardinalities(const Schema&, SchemaBuilder* parts,
                           DeterministicRng* rng) {
   if (parts->cards.empty()) {
     return false;
   }
-  for (SchemaParts::Card& card : parts->cards) {
+  for (SchemaBuilder::Card& card : parts->cards) {
     Cardinality& cardinality = card.cardinality;
     if (cardinality.max.has_value()) {
       const int low = static_cast<int>(cardinality.min);
@@ -127,7 +128,7 @@ bool TightenCardinalities(const Schema&, SchemaParts* parts,
   return true;
 }
 
-bool InterposeIsaChain(const Schema&, SchemaParts* parts,
+bool InterposeIsaChain(const Schema&, SchemaBuilder* parts,
                        DeterministicRng* rng) {
   if (parts->isa.empty()) {
     return false;
@@ -143,7 +144,7 @@ bool InterposeIsaChain(const Schema&, SchemaParts* parts,
   return true;
 }
 
-bool InsertRedundantIsa(const Schema& schema, SchemaParts* parts,
+bool InsertRedundantIsa(const Schema& schema, SchemaBuilder* parts,
                         DeterministicRng* rng) {
   // Candidate pairs: sub <=* super holds transitively but no direct edge
   // is declared (adding one is then semantically implied — a no-op).
@@ -172,7 +173,7 @@ bool InsertRedundantIsa(const Schema& schema, SchemaParts* parts,
   return true;
 }
 
-bool GraftDeadClass(const Schema&, SchemaParts* parts,
+bool GraftDeadClass(const Schema&, SchemaBuilder* parts,
                     DeterministicRng* rng) {
   const std::string dead = FreshClassName(*parts, "Dead");
   const int anchor = rng->UniformInt(
@@ -182,7 +183,7 @@ bool GraftDeadClass(const Schema&, SchemaParts* parts,
   return true;
 }
 
-bool DuplicateDisjointness(const Schema&, SchemaParts* parts,
+bool DuplicateDisjointness(const Schema&, SchemaBuilder* parts,
                            DeterministicRng* rng) {
   if (parts->disjointness.empty()) {
     return false;
@@ -196,7 +197,7 @@ bool DuplicateDisjointness(const Schema&, SchemaParts* parts,
 struct Rule {
   const char* name;
   VerdictRelation relation;
-  bool (*apply)(const Schema&, SchemaParts*, DeterministicRng*);
+  bool (*apply)(const Schema&, SchemaBuilder*, DeterministicRng*);
 };
 
 constexpr Rule kRules[] = {
@@ -240,14 +241,14 @@ std::vector<std::string> MetamorphicRuleNames() {
 Result<std::vector<MutatedSchema>> ApplyMetamorphicRules(
     const Schema& schema, std::uint32_t seed) {
   std::vector<MutatedSchema> mutants;
-  const SchemaParts original = SchemaParts::FromSchema(schema);
+  const SchemaBuilder original = schema.ToBuilder();
   for (size_t r = 0; r < std::size(kRules); ++r) {
     const Rule& rule = kRules[r];
     // One independent stream per rule, so skipping an inapplicable rule
     // never shifts the draws of the next one.
     DeterministicRng rng(seed ^ (0x9e3779b9u * static_cast<std::uint32_t>(
                                      r + 1)));
-    SchemaParts parts = original;
+    SchemaBuilder parts = original;
     if (!rule.apply(schema, &parts, &rng)) {
       continue;
     }

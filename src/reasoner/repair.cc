@@ -1,102 +1,35 @@
 #include "src/reasoner/repair.h"
 
+#include <functional>
 #include <utility>
 
-#include "src/reasoner/satisfiability.h"
+#include "src/cr/schema_text.h"
 
 namespace crsat {
 
 namespace {
 
-// Rebuilds `schema` with the cardinality declaration at `decl_index`
-// replaced by `replacement` (or removed when nullopt).
-Result<Schema> WithCardinalityEdited(
-    const Schema& schema, int decl_index,
-    const std::optional<Cardinality>& replacement) {
-  SchemaBuilder builder;
-  for (ClassId cls : schema.AllClasses()) {
-    builder.AddClass(schema.ClassName(cls));
-  }
-  for (RelationshipId rel : schema.AllRelationships()) {
-    std::vector<std::pair<std::string, std::string>> roles;
-    for (RoleId role : schema.RolesOf(rel)) {
-      roles.emplace_back(schema.RoleName(role),
-                         schema.ClassName(schema.PrimaryClass(role)));
-    }
-    builder.AddRelationship(schema.RelationshipName(rel), roles);
-  }
-  for (const IsaStatement& isa : schema.isa_statements()) {
-    builder.AddIsa(schema.ClassName(isa.subclass),
-                   schema.ClassName(isa.superclass));
-  }
-  const auto& declarations = schema.cardinality_declarations();
-  for (size_t i = 0; i < declarations.size(); ++i) {
-    const CardinalityDeclaration& decl = declarations[i];
-    if (static_cast<int>(i) == decl_index) {
-      if (replacement.has_value()) {
-        builder.SetCardinality(schema.ClassName(decl.cls),
-                               schema.RelationshipName(decl.rel),
-                               schema.RoleName(decl.role), *replacement);
-      }
-      continue;
-    }
-    builder.SetCardinality(schema.ClassName(decl.cls),
-                           schema.RelationshipName(decl.rel),
-                           schema.RoleName(decl.role), decl.cardinality);
-  }
-  for (const DisjointnessConstraint& group :
-       schema.disjointness_constraints()) {
-    std::vector<std::string> names;
-    for (ClassId cls : group.classes) {
-      names.push_back(schema.ClassName(cls));
-    }
-    builder.AddDisjointness(names);
-  }
-  for (const CoveringConstraint& constraint : schema.covering_constraints()) {
-    std::vector<std::string> coverers;
-    for (ClassId cls : constraint.coverers) {
-      coverers.push_back(schema.ClassName(cls));
-    }
-    builder.AddCovering(schema.ClassName(constraint.covered), coverers);
-  }
-  return builder.Build();
-}
-
-Result<bool> SatisfiableWithEdit(const Schema& schema, ClassId cls,
-                                 int decl_index,
-                                 const std::optional<Cardinality>& replacement,
-                                 const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(Schema edited,
-                         WithCardinalityEdited(schema, decl_index,
-                                               replacement));
-  CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
-                         Expansion::Build(edited, options));
-  SatisfiabilityChecker checker(expansion);
-  return checker.IsClassSatisfiable(cls);
-}
+// Decides whether the class becomes satisfiable when the declaration
+// under repair carries the candidate bounds instead of its own.
+using EditProbe = std::function<Result<bool>(const Cardinality& candidate)>;
 
 std::string DescribeRelax(const Schema& schema,
                           const CardinalityDeclaration& decl,
                           const Cardinality& relaxed) {
-  return "relax card " + schema.ClassName(decl.cls) + " in " +
-         schema.RelationshipName(decl.rel) + "." +
-         schema.RoleName(decl.role) + " = " + decl.cardinality.ToString() +
-         " to " + relaxed.ToString();
+  return "relax " + CardinalityToText(schema, decl) + " to " +
+         relaxed.ToString();
 }
 
 // Largest lowered `min` that restores satisfiability, if any (monotone:
 // lowering `min` only adds models).
 Result<std::optional<Cardinality>> SearchRelaxedMin(
-    const Schema& schema, ClassId cls, int decl_index,
-    const CardinalityDeclaration& decl, const ExpansionOptions& options) {
+    const CardinalityDeclaration& decl, const EditProbe& works_with) {
   if (decl.cardinality.min == 0) {
     return std::optional<Cardinality>();
   }
   Cardinality fully_relaxed = decl.cardinality;
   fully_relaxed.min = 0;
-  CRSAT_ASSIGN_OR_RETURN(
-      bool works_at_zero,
-      SatisfiableWithEdit(schema, cls, decl_index, fully_relaxed, options));
+  CRSAT_ASSIGN_OR_RETURN(bool works_at_zero, works_with(fully_relaxed));
   if (!works_at_zero) {
     return std::optional<Cardinality>();
   }
@@ -106,9 +39,7 @@ Result<std::optional<Cardinality>> SearchRelaxedMin(
     std::uint64_t mid = low + (high - low) / 2;
     Cardinality candidate = decl.cardinality;
     candidate.min = mid;
-    CRSAT_ASSIGN_OR_RETURN(
-        bool works,
-        SatisfiableWithEdit(schema, cls, decl_index, candidate, options));
+    CRSAT_ASSIGN_OR_RETURN(bool works, works_with(candidate));
     if (works) {
       low = mid;
     } else {
@@ -123,16 +54,13 @@ Result<std::optional<Cardinality>> SearchRelaxedMin(
 // Smallest raised `max` that restores satisfiability, if any. Tries
 // infinity first (monotone), then gallops/bisects for the least raise.
 Result<std::optional<Cardinality>> SearchRelaxedMax(
-    const Schema& schema, ClassId cls, int decl_index,
-    const CardinalityDeclaration& decl, const ExpansionOptions& options) {
+    const CardinalityDeclaration& decl, const EditProbe& works_with) {
   if (!decl.cardinality.max.has_value()) {
     return std::optional<Cardinality>();
   }
   Cardinality unbounded = decl.cardinality;
   unbounded.max.reset();
-  CRSAT_ASSIGN_OR_RETURN(
-      bool works_unbounded,
-      SatisfiableWithEdit(schema, cls, decl_index, unbounded, options));
+  CRSAT_ASSIGN_OR_RETURN(bool works_unbounded, works_with(unbounded));
   if (!works_unbounded) {
     return std::optional<Cardinality>();
   }
@@ -145,9 +73,7 @@ Result<std::optional<Cardinality>> SearchRelaxedMax(
   while (original + step <= kFiniteSearchCap) {
     Cardinality candidate = decl.cardinality;
     candidate.max = original + step;
-    CRSAT_ASSIGN_OR_RETURN(
-        bool works,
-        SatisfiableWithEdit(schema, cls, decl_index, candidate, options));
+    CRSAT_ASSIGN_OR_RETURN(bool works, works_with(candidate));
     if (works) {
       high = original + step;
       break;
@@ -162,9 +88,7 @@ Result<std::optional<Cardinality>> SearchRelaxedMax(
     std::uint64_t mid = low + (*high - low) / 2;
     Cardinality candidate = decl.cardinality;
     candidate.max = mid;
-    CRSAT_ASSIGN_OR_RETURN(
-        bool works,
-        SatisfiableWithEdit(schema, cls, decl_index, candidate, options));
+    CRSAT_ASSIGN_OR_RETURN(bool works, works_with(candidate));
     if (works) {
       high = mid;
     } else {
@@ -194,9 +118,15 @@ Result<std::vector<RepairSuggestion>> SuggestRepairs(
     }
     const CardinalityDeclaration& decl =
         schema.cardinality_declarations()[constraint.index];
-    CRSAT_ASSIGN_OR_RETURN(
-        std::optional<Cardinality> relaxed_min,
-        SearchRelaxedMin(schema, cls, constraint.index, decl, options));
+    const EditProbe works_with =
+        [&](const Cardinality& candidate) -> Result<bool> {
+      SchemaBuilder builder = schema.ToBuilder();
+      builder.cards[constraint.index].cardinality = candidate;
+      CRSAT_ASSIGN_OR_RETURN(Schema edited, builder.Build());
+      return ClassSatisfiableIn(edited, cls, options);
+    };
+    CRSAT_ASSIGN_OR_RETURN(std::optional<Cardinality> relaxed_min,
+                           SearchRelaxedMin(decl, works_with));
     if (relaxed_min.has_value()) {
       RepairSuggestion suggestion;
       suggestion.constraint = constraint;
@@ -205,9 +135,8 @@ Result<std::vector<RepairSuggestion>> SuggestRepairs(
       suggestion.description = DescribeRelax(schema, decl, *relaxed_min);
       suggestions.push_back(std::move(suggestion));
     }
-    CRSAT_ASSIGN_OR_RETURN(
-        std::optional<Cardinality> relaxed_max,
-        SearchRelaxedMax(schema, cls, constraint.index, decl, options));
+    CRSAT_ASSIGN_OR_RETURN(std::optional<Cardinality> relaxed_max,
+                           SearchRelaxedMax(decl, works_with));
     if (relaxed_max.has_value()) {
       RepairSuggestion suggestion;
       suggestion.constraint = constraint;

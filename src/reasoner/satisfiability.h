@@ -175,11 +175,10 @@ class SatisfiabilityChecker {
   // *thread-compatible*, not thread-safe — `Support()` mutates the
   // lazily-cached `support_`/`dead_compounds_` and the cache behind
   // `probe_cache_`, so a checker (and any `WarmStartBasisCache` it uses)
-  // must be confined to one thread at a time. The parallelism inside
-  // `Support()` is internal (`ThreadPool::ParallelFor` over per-probe
-  // state) and does not touch these fields concurrently. There is
-  // deliberately no mutex here — callers that want concurrent queries
-  // build one checker per thread over the shared (immutable) expansion.
+  // must be confined to one thread at a time. `Support()` itself runs on
+  // the calling thread only. There is deliberately no mutex here —
+  // callers that want concurrent queries build one checker per thread
+  // over the shared (immutable) expansion.
   WarmStartBasisCache* probe_cache_ = nullptr;
   mutable std::optional<std::vector<bool>> dead_compounds_;
   mutable std::optional<Result<AcceptableSupport>> support_;

@@ -1,107 +1,64 @@
 #include "src/reasoner/unsat_core.h"
 
-#include <utility>
+#include <vector>
 
+#include "src/cr/schema_text.h"
 #include "src/reasoner/satisfiability.h"
 
 namespace crsat {
 
 namespace {
 
-// Rebuilds `schema` keeping only the constraints flagged in `active`
-// (indexed like `units`); classes and relationships are always kept.
-Result<Schema> RebuildWithConstraints(const Schema& schema,
-                                      const std::vector<CoreConstraint>& units,
-                                      const std::vector<bool>& active) {
-  SchemaBuilder builder;
-  for (ClassId cls : schema.AllClasses()) {
-    builder.AddClass(schema.ClassName(cls));
-  }
-  for (RelationshipId rel : schema.AllRelationships()) {
-    std::vector<std::pair<std::string, std::string>> roles;
-    for (RoleId role : schema.RolesOf(rel)) {
-      roles.emplace_back(schema.RoleName(role),
-                         schema.ClassName(schema.PrimaryClass(role)));
-    }
-    builder.AddRelationship(schema.RelationshipName(rel), roles);
-  }
-  // ISA closure under the *kept* ISA statements: dropping an ISA statement
-  // can strip a kept cardinality refinement of its legality (the class is
-  // no longer a subclass of the role's primary class); such refinements are
-  // dropped along with it, mirroring what a designer deleting the ISA edge
-  // would have to do.
-  const int n = schema.num_classes();
-  std::vector<std::vector<bool>> closure(n, std::vector<bool>(n, false));
-  for (int c = 0; c < n; ++c) {
-    closure[c][c] = true;
-  }
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (active[i] && units[i].kind == CoreConstraint::Kind::kIsa) {
-      const IsaStatement& isa = schema.isa_statements()[units[i].index];
-      closure[isa.subclass.value][isa.superclass.value] = true;
-    }
-  }
-  for (int k = 0; k < n; ++k) {
-    for (int i = 0; i < n; ++i) {
-      if (!closure[i][k]) {
-        continue;
-      }
-      for (int j = 0; j < n; ++j) {
-        if (closure[k][j]) {
-          closure[i][j] = true;
-        }
-      }
-    }
-  }
-
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (!active[i]) {
+// Rebuilds `schema` keeping only the units flagged in `active` (indexed
+// like `units`); classes and relationships are always kept.
+Result<Schema> WithActiveUnits(const Schema& schema,
+                               const std::vector<CoreConstraint>& units,
+                               const std::vector<bool>& active) {
+  SchemaBuilder builder = schema.ToBuilder();
+  // A unit's index is its position in the builder list of its kind, and
+  // units list each kind in index order, so erasing back to front keeps
+  // the indices still to be erased valid.
+  for (size_t i = units.size(); i-- > 0;) {
+    if (active[i]) {
       continue;
     }
-    const CoreConstraint& unit = units[i];
-    switch (unit.kind) {
-      case CoreConstraint::Kind::kIsa: {
-        const IsaStatement& isa = schema.isa_statements()[unit.index];
-        builder.AddIsa(schema.ClassName(isa.subclass),
-                       schema.ClassName(isa.superclass));
+    const int index = units[i].index;
+    switch (units[i].kind) {
+      case CoreConstraint::Kind::kIsa:
+        builder.isa.erase(builder.isa.begin() + index);
         break;
-      }
-      case CoreConstraint::Kind::kCardinality: {
-        const CardinalityDeclaration& decl =
-            schema.cardinality_declarations()[unit.index];
-        ClassId primary = schema.PrimaryClass(decl.role);
-        if (!closure[decl.cls.value][primary.value]) {
-          break;  // Refinement lost its legality; drop it.
-        }
-        builder.SetCardinality(schema.ClassName(decl.cls),
-                               schema.RelationshipName(decl.rel),
-                               schema.RoleName(decl.role), decl.cardinality);
+      case CoreConstraint::Kind::kCardinality:
+        builder.cards.erase(builder.cards.begin() + index);
         break;
-      }
-      case CoreConstraint::Kind::kDisjointness: {
-        const DisjointnessConstraint& group =
-            schema.disjointness_constraints()[unit.index];
-        std::vector<std::string> names;
-        for (ClassId cls : group.classes) {
-          names.push_back(schema.ClassName(cls));
-        }
-        builder.AddDisjointness(names);
+      case CoreConstraint::Kind::kDisjointness:
+        builder.disjointness.erase(builder.disjointness.begin() + index);
         break;
-      }
-      case CoreConstraint::Kind::kCovering: {
-        const CoveringConstraint& constraint =
-            schema.covering_constraints()[unit.index];
-        std::vector<std::string> coverers;
-        for (ClassId cls : constraint.coverers) {
-          coverers.push_back(schema.ClassName(cls));
-        }
-        builder.AddCovering(schema.ClassName(constraint.covered), coverers);
+      case CoreConstraint::Kind::kCovering:
+        builder.coverings.erase(builder.coverings.begin() + index);
         break;
-      }
     }
   }
+  if (builder.isa.size() == schema.isa_statements().size()) {
+    return builder.Build();
+  }
+  // Dropping an ISA statement can strip a kept cardinality refinement of
+  // its legality (the class is no longer a subclass of the role's primary
+  // class); such refinements are dropped along with it, mirroring what a
+  // designer deleting the ISA edge would have to do.
+  SchemaBuilder hierarchy;
+  hierarchy.classes = builder.classes;
+  hierarchy.relationships = builder.relationships;
+  hierarchy.isa = builder.isa;
+  CRSAT_ASSIGN_OR_RETURN(Schema kept_isa, hierarchy.Build());
+  std::erase_if(builder.cards, [&kept_isa](const SchemaBuilder::Card& card) {
+    const ClassId primary =
+        kept_isa.PrimaryClass(*kept_isa.FindRole(card.role));
+    return !kept_isa.IsSubclassOf(*kept_isa.FindClass(card.cls), primary);
+  });
   return builder.Build();
 }
+
+}  // namespace
 
 // Caveat: dropping a cardinality declaration on a *subclass* can only relax
 // the schema (declarations are refinements), and dropping any other
@@ -114,44 +71,6 @@ Result<bool> ClassSatisfiableIn(const Schema& schema, ClassId cls,
   SatisfiabilityChecker checker(expansion);
   return checker.IsClassSatisfiable(cls);
 }
-
-std::string DescribeIsa(const Schema& schema, const IsaStatement& isa) {
-  return "isa " + schema.ClassName(isa.subclass) + " < " +
-         schema.ClassName(isa.superclass);
-}
-
-std::string DescribeCardinality(const Schema& schema,
-                                const CardinalityDeclaration& decl) {
-  return "card " + schema.ClassName(decl.cls) + " in " +
-         schema.RelationshipName(decl.rel) + "." +
-         schema.RoleName(decl.role) + " = " + decl.cardinality.ToString();
-}
-
-std::string DescribeDisjointness(const Schema& schema,
-                                 const DisjointnessConstraint& group) {
-  std::string text = "disjoint ";
-  for (size_t i = 0; i < group.classes.size(); ++i) {
-    if (i > 0) {
-      text += ", ";
-    }
-    text += schema.ClassName(group.classes[i]);
-  }
-  return text;
-}
-
-std::string DescribeCovering(const Schema& schema,
-                             const CoveringConstraint& constraint) {
-  std::string text = "cover " + schema.ClassName(constraint.covered) + " by ";
-  for (size_t i = 0; i < constraint.coverers.size(); ++i) {
-    if (i > 0) {
-      text += ", ";
-    }
-    text += schema.ClassName(constraint.coverers[i]);
-  }
-  return text;
-}
-
-}  // namespace
 
 Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
                                     const ExpansionOptions& options) {
@@ -166,29 +85,29 @@ Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
   for (size_t i = 0; i < schema.isa_statements().size(); ++i) {
     units.push_back(CoreConstraint{
         CoreConstraint::Kind::kIsa, static_cast<int>(i),
-        DescribeIsa(schema, schema.isa_statements()[i])});
+        IsaToText(schema, schema.isa_statements()[i])});
   }
   for (size_t i = 0; i < schema.cardinality_declarations().size(); ++i) {
     units.push_back(CoreConstraint{
         CoreConstraint::Kind::kCardinality, static_cast<int>(i),
-        DescribeCardinality(schema, schema.cardinality_declarations()[i])});
+        CardinalityToText(schema, schema.cardinality_declarations()[i])});
   }
   for (size_t i = 0; i < schema.disjointness_constraints().size(); ++i) {
     units.push_back(CoreConstraint{
         CoreConstraint::Kind::kDisjointness, static_cast<int>(i),
-        DescribeDisjointness(schema, schema.disjointness_constraints()[i])});
+        DisjointnessToText(schema, schema.disjointness_constraints()[i])});
   }
   for (size_t i = 0; i < schema.covering_constraints().size(); ++i) {
     units.push_back(CoreConstraint{
         CoreConstraint::Kind::kCovering, static_cast<int>(i),
-        DescribeCovering(schema, schema.covering_constraints()[i])});
+        CoveringToText(schema, schema.covering_constraints()[i])});
   }
 
   std::vector<bool> active(units.size(), true);
   for (size_t i = 0; i < units.size(); ++i) {
     active[i] = false;
     CRSAT_ASSIGN_OR_RETURN(Schema reduced,
-                           RebuildWithConstraints(schema, units, active));
+                           WithActiveUnits(schema, units, active));
     CRSAT_ASSIGN_OR_RETURN(bool now_satisfiable,
                            ClassSatisfiableIn(reduced, cls, options));
     if (now_satisfiable) {

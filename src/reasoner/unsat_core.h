@@ -19,7 +19,8 @@ struct CoreConstraint {
     kCovering,
   };
   Kind kind;
-  /// Index into the corresponding declaration list of the schema.
+  /// Index into the corresponding declaration list of the schema, which
+  /// is also the index into the matching list of `Schema::ToBuilder()`.
   int index;
   /// Human-readable rendering, e.g. "isa Discussant < Speaker" or
   /// "card Talk in Holds.U2 = (1, 1)".
@@ -48,6 +49,13 @@ struct UnsatCore {
 /// `schema` to begin with.
 Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
                                     const ExpansionOptions& options = {});
+
+/// One probe of the core minimizer and of the repair search
+/// (src/reasoner/repair.h): expands `schema` and decides whether `cls` is
+/// satisfiable in it. The probed schemas are edits of the original,
+/// taken with `Schema::ToBuilder()`, so class ids carry over.
+Result<bool> ClassSatisfiableIn(const Schema& schema, ClassId cls,
+                                const ExpansionOptions& options);
 
 }  // namespace crsat
 

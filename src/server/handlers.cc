@@ -108,8 +108,8 @@ HandlerResult HandleRequest(Session& session, const Frame& request,
                                         session.schema_text,
                                         request.payload == "json", guard_ptr));
     case RequestType::kImplications:
-      return FromCommand(
-          commands::Implies(session.schema->schema, request.payload));
+      return FromCommand(commands::Implies(session.schema->schema,
+                                           request.payload, guard_ptr));
     case RequestType::kParse:
     case RequestType::kStats:
     case RequestType::kShutdown:

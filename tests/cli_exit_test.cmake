@@ -138,4 +138,47 @@ foreach(schema figure1 meeting finitely_unsat_pair)
   endif()
 endforeach()
 
+# Schema debugging is locked byte for byte: for every unsatisfiable class
+# of every example schema that `check` accepts, `debug` exits 0 and prints
+# exactly tests/golden/<schema>.<Class>.debug (core order, constraint
+# texts, repair suggestions). Every golden file must be reached.
+set(GOLDEN "${CRSAT_SOURCE_DIR}/tests/golden")
+file(GLOB golden_files RELATIVE "${GOLDEN}" "${GOLDEN}/*.debug")
+set(reached_goldens "")
+file(GLOB schema_files "${SCHEMAS}/*.cr")
+foreach(schema_file ${schema_files})
+  get_filename_component(schema "${schema_file}" NAME_WE)
+  execute_process(
+    COMMAND ${CRSAT_CLI} check "${schema_file}"
+    OUTPUT_VARIABLE check_out
+    ERROR_QUIET)
+  string(REGEX MATCHALL "  UNSATISFIABLE  [^\n]+" unsat_lines "${check_out}")
+  foreach(line ${unsat_lines})
+    string(REPLACE "  UNSATISFIABLE  " "" class "${line}")
+    set(golden_name "${schema}.${class}.debug")
+    if(NOT EXISTS "${GOLDEN}/${golden_name}")
+      message(FATAL_ERROR "no golden file tests/golden/${golden_name} for "
+        "unsatisfiable class ${class} of ${schema}.cr")
+    endif()
+    list(APPEND reached_goldens "${golden_name}")
+    execute_process(
+      COMMAND ${CRSAT_CLI} debug "${schema_file}" "${class}"
+      RESULT_VARIABLE debug_exit
+      OUTPUT_VARIABLE debug_out
+      ERROR_QUIET)
+    file(READ "${GOLDEN}/${golden_name}" expected)
+    if(NOT debug_exit EQUAL 0 OR NOT debug_out STREQUAL expected)
+      message(FATAL_ERROR "crsat_cli debug ${schema}.cr ${class}: exit "
+        "${debug_exit}, output differs from tests/golden/${golden_name}:\n"
+        "${debug_out}")
+    endif()
+  endforeach()
+endforeach()
+list(SORT golden_files)
+list(SORT reached_goldens)
+if(NOT golden_files STREQUAL reached_goldens)
+  message(FATAL_ERROR "golden debug files ${golden_files} do not match the "
+    "unsatisfiable example classes ${reached_goldens}")
+endif()
+
 message(STATUS "cli_exit_test: all exit-code expectations held")

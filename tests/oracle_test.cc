@@ -14,7 +14,6 @@
 #include "src/generator/random_schema.h"
 #include "src/oracle/brute_force.h"
 #include "src/oracle/metamorphic.h"
-#include "src/oracle/schema_parts.h"
 
 namespace crsat {
 namespace {
@@ -220,20 +219,6 @@ TEST(BruteForceOracle, RefusesSchemasTooWideToEnumerate) {
   Result<OracleReport> report = BruteForceOracle::Decide(schema);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
-}
-
-// --- SchemaParts round trip -------------------------------------------
-
-TEST(SchemaParts, RoundTripsThroughBuilder) {
-  RandomSchemaParams params;
-  params.seed = 7;
-  params.num_disjointness_groups = 1;
-  Result<Schema> schema = GenerateRandomSchema(params);
-  ASSERT_TRUE(schema.ok()) << schema.status();
-
-  Result<Schema> rebuilt = SchemaParts::FromSchema(*schema).Build();
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-  EXPECT_EQ(SchemaToText(*schema, "s"), SchemaToText(*rebuilt, "s"));
 }
 
 // --- Metamorphic rewrites ---------------------------------------------

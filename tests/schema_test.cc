@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cr/schema_text.h"
+#include "src/generator/random_schema.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
@@ -239,6 +241,62 @@ TEST(SchemaTest, CoveringDeclaration) {
   EXPECT_EQ(schema.covering_constraints()[0].coverers.size(), 2u);
 }
 
+// Entry i of each builder list is declaration i of the matching schema
+// accessor: unsat-core minimization and the repair search edit
+// `ToBuilder()`'s lists by the schema's declaration indices.
+void ExpectIndexAligned(const Schema& schema, const SchemaBuilder& builder) {
+  ASSERT_EQ(builder.classes.size(), static_cast<size_t>(schema.num_classes()));
+  for (ClassId cls : schema.AllClasses()) {
+    EXPECT_EQ(builder.classes[cls.value], schema.ClassName(cls));
+  }
+  ASSERT_EQ(builder.relationships.size(),
+            static_cast<size_t>(schema.num_relationships()));
+  for (RelationshipId rel : schema.AllRelationships()) {
+    const SchemaBuilder::Relationship& entry = builder.relationships[rel.value];
+    EXPECT_EQ(entry.name, schema.RelationshipName(rel));
+    ASSERT_EQ(entry.roles.size(), schema.RolesOf(rel).size());
+    for (size_t k = 0; k < entry.roles.size(); ++k) {
+      const RoleId role = schema.RolesOf(rel)[k];
+      EXPECT_EQ(entry.roles[k].first, schema.RoleName(role));
+      EXPECT_EQ(entry.roles[k].second,
+                schema.ClassName(schema.PrimaryClass(role)));
+    }
+  }
+  ASSERT_EQ(builder.isa.size(), schema.isa_statements().size());
+  for (size_t i = 0; i < builder.isa.size(); ++i) {
+    const IsaStatement& isa = schema.isa_statements()[i];
+    EXPECT_EQ(builder.isa[i].subclass, schema.ClassName(isa.subclass));
+    EXPECT_EQ(builder.isa[i].superclass, schema.ClassName(isa.superclass));
+  }
+  ASSERT_EQ(builder.cards.size(), schema.cardinality_declarations().size());
+  for (size_t i = 0; i < builder.cards.size(); ++i) {
+    const CardinalityDeclaration& decl = schema.cardinality_declarations()[i];
+    EXPECT_EQ(builder.cards[i].cls, schema.ClassName(decl.cls));
+    EXPECT_EQ(builder.cards[i].rel, schema.RelationshipName(decl.rel));
+    EXPECT_EQ(builder.cards[i].role, schema.RoleName(decl.role));
+    EXPECT_EQ(builder.cards[i].cardinality, decl.cardinality);
+  }
+  ASSERT_EQ(builder.disjointness.size(),
+            schema.disjointness_constraints().size());
+  for (size_t i = 0; i < builder.disjointness.size(); ++i) {
+    const DisjointnessConstraint& group = schema.disjointness_constraints()[i];
+    ASSERT_EQ(builder.disjointness[i].size(), group.classes.size());
+    for (size_t k = 0; k < group.classes.size(); ++k) {
+      EXPECT_EQ(builder.disjointness[i][k], schema.ClassName(group.classes[k]));
+    }
+  }
+  ASSERT_EQ(builder.coverings.size(), schema.covering_constraints().size());
+  for (size_t i = 0; i < builder.coverings.size(); ++i) {
+    const CoveringConstraint& cover = schema.covering_constraints()[i];
+    EXPECT_EQ(builder.coverings[i].covered, schema.ClassName(cover.covered));
+    ASSERT_EQ(builder.coverings[i].coverers.size(), cover.coverers.size());
+    for (size_t k = 0; k < cover.coverers.size(); ++k) {
+      EXPECT_EQ(builder.coverings[i].coverers[k],
+                schema.ClassName(cover.coverers[k]));
+    }
+  }
+}
+
 TEST(SchemaTest, ToBuilderRoundTripsAllDeclarations) {
   SchemaBuilder builder;
   builder.AddClass("A");
@@ -250,15 +308,24 @@ TEST(SchemaTest, ToBuilderRoundTripsAllDeclarations) {
   builder.SetCardinality("B", "R", "U", {1, 1});
   builder.AddDisjointness({"A", "C"});
   builder.AddCovering("A", {"B"});
-  Schema original = builder.Build().value();
-  Schema copy = original.ToBuilder().Build().value();
-  EXPECT_EQ(copy.num_classes(), original.num_classes());
-  EXPECT_EQ(copy.num_relationships(), original.num_relationships());
-  EXPECT_EQ(copy.isa_statements().size(), original.isa_statements().size());
-  EXPECT_EQ(copy.cardinality_declarations().size(),
-            original.cardinality_declarations().size());
-  EXPECT_EQ(copy.disjointness_constraints().size(), 1u);
-  EXPECT_EQ(copy.covering_constraints().size(), 1u);
+  const Schema hand_built = builder.Build().value();
+
+  RandomSchemaParams params;
+  params.seed = 7;
+  params.num_disjointness_groups = 1;
+  const Result<Schema> generated = GenerateRandomSchema(params);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+
+  for (const Schema* original : {&hand_built, &*generated}) {
+    const SchemaBuilder editable = original->ToBuilder();
+    ExpectIndexAligned(*original, editable);
+    Result<Schema> copy = editable.Build();
+    ASSERT_TRUE(copy.ok()) << copy.status();
+    ExpectIndexAligned(*copy, editable);
+    EXPECT_EQ(SchemaToText(*copy, "s"), SchemaToText(*original, "s"));
+  }
+
+  Schema copy = hand_built.ToBuilder().Build().value();
   ClassId b = copy.FindClass("B").value();
   RelationshipId r = copy.FindRelationship("R").value();
   RoleId u = copy.FindRole("U").value();

@@ -644,6 +644,36 @@ TEST(ServerTest, RequestBudgetTripsToResourceStatus) {
   daemon.Wait();
 }
 
+TEST(ServerTest, ImplicationsRequestHonorsItsBudget) {
+  Server daemon(TestOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.ConnectTcp(daemon.port()).ok());
+  const std::string path = Schema("meeting.cr");
+  auto parsed = client.Parse(path, ReadFileOrDie(path));
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->status, ResponseStatus::kOk);
+
+  RequestBudget budget;
+  budget.max_compounds = 1;
+  for (const std::string query :
+       {"isa Speaker Discussant", "card Discussant Holds U1"}) {
+    auto reply = client.Call(RequestType::kImplications, query, budget);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->status, ResponseStatus::kResource) << query;
+    EXPECT_NE(reply->payload.find("compound budget"), std::string::npos)
+        << reply->payload;
+  }
+
+  auto unlimited =
+      client.Call(RequestType::kImplications, "isa Speaker Discussant");
+  ASSERT_TRUE(unlimited.ok());
+  EXPECT_EQ(unlimited->status, ResponseStatus::kOk);
+
+  daemon.BeginDrain();
+  daemon.Wait();
+}
+
 TEST(ServerTest, QueryBeforeParseIsABadRequest) {
   Server daemon(TestOptions());
   ASSERT_TRUE(daemon.Start().ok());

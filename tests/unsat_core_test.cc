@@ -1,6 +1,8 @@
 #include "src/reasoner/unsat_core.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,69 +16,36 @@ using crsat::testing::Figure1Schema;
 using crsat::testing::MeetingSchema;
 using crsat::testing::MeetingSchemaWithEagerDiscussants;
 
+// Keeps only the entries of `list` that `core` names under `kind`, except
+// the core's `drop`-th constraint. The core lists each kind in index
+// order, so the kept entries keep their relative order.
+template <typename T>
+void KeepCoreEntries(std::vector<T>* list, CoreConstraint::Kind kind,
+                     const UnsatCore& core, size_t drop) {
+  std::vector<T> kept;
+  for (size_t i = 0; i < core.constraints.size(); ++i) {
+    if (i != drop && core.constraints[i].kind == kind) {
+      kept.push_back((*list)[core.constraints[i].index]);
+    }
+  }
+  *list = std::move(kept);
+}
+
 // Removes one constraint of `core` from `schema` and checks that `cls`
 // becomes satisfiable — the definition of subset-minimality.
 void ExpectCoreIsMinimal(const Schema& schema, ClassId cls,
                          const UnsatCore& core) {
   for (size_t drop = 0; drop < core.constraints.size(); ++drop) {
-    SchemaBuilder builder;
-    for (ClassId c : schema.AllClasses()) {
-      builder.AddClass(schema.ClassName(c));
-    }
-    for (RelationshipId rel : schema.AllRelationships()) {
-      std::vector<std::pair<std::string, std::string>> roles;
-      for (RoleId role : schema.RolesOf(rel)) {
-        roles.emplace_back(schema.RoleName(role),
-                           schema.ClassName(schema.PrimaryClass(role)));
-      }
-      builder.AddRelationship(schema.RelationshipName(rel), roles);
-    }
     // Keep only the core constraints except the dropped one. (Dropping a
     // non-core constraint cannot help: the core alone is unsatisfiable.)
-    for (size_t i = 0; i < core.constraints.size(); ++i) {
-      if (i == drop) {
-        continue;
-      }
-      const CoreConstraint& unit = core.constraints[i];
-      switch (unit.kind) {
-        case CoreConstraint::Kind::kIsa: {
-          const IsaStatement& isa = schema.isa_statements()[unit.index];
-          builder.AddIsa(schema.ClassName(isa.subclass),
-                         schema.ClassName(isa.superclass));
-          break;
-        }
-        case CoreConstraint::Kind::kCardinality: {
-          const CardinalityDeclaration& decl =
-              schema.cardinality_declarations()[unit.index];
-          builder.SetCardinality(schema.ClassName(decl.cls),
-                                 schema.RelationshipName(decl.rel),
-                                 schema.RoleName(decl.role),
-                                 decl.cardinality);
-          break;
-        }
-        case CoreConstraint::Kind::kDisjointness: {
-          const DisjointnessConstraint& group =
-              schema.disjointness_constraints()[unit.index];
-          std::vector<std::string> names;
-          for (ClassId c : group.classes) {
-            names.push_back(schema.ClassName(c));
-          }
-          builder.AddDisjointness(names);
-          break;
-        }
-        case CoreConstraint::Kind::kCovering: {
-          const CoveringConstraint& constraint =
-              schema.covering_constraints()[unit.index];
-          std::vector<std::string> coverers;
-          for (ClassId c : constraint.coverers) {
-            coverers.push_back(schema.ClassName(c));
-          }
-          builder.AddCovering(schema.ClassName(constraint.covered),
-                              coverers);
-          break;
-        }
-      }
-    }
+    SchemaBuilder builder = schema.ToBuilder();
+    KeepCoreEntries(&builder.isa, CoreConstraint::Kind::kIsa, core, drop);
+    KeepCoreEntries(&builder.cards, CoreConstraint::Kind::kCardinality, core,
+                    drop);
+    KeepCoreEntries(&builder.disjointness, CoreConstraint::Kind::kDisjointness,
+                    core, drop);
+    KeepCoreEntries(&builder.coverings, CoreConstraint::Kind::kCovering, core,
+                    drop);
     Result<Schema> reduced = builder.Build();
     if (!reduced.ok()) {
       // Dropping an ISA edge can orphan a kept refinement; the minimizer
