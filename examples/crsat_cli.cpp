@@ -436,7 +436,7 @@ int RunDebug(const crsat::Schema& schema, const std::string& class_name) {
     std::cout << "  - " << constraint.description << "\n";
   }
   crsat::Result<std::vector<crsat::RepairSuggestion>> repairs =
-      crsat::SuggestRepairs(schema, *cls);
+      crsat::SuggestRepairs(schema, *cls, *core);
   if (repairs.ok() && !repairs->empty()) {
     std::cout << "smallest single-constraint repairs:\n";
     for (const crsat::RepairSuggestion& suggestion : *repairs) {

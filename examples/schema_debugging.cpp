@@ -78,7 +78,7 @@ int DebugSchema(const char* text) {
     std::cout << "  (removing any one of these " << core->constraints.size()
               << " constraints makes the class satisfiable)\n";
     crsat::Result<std::vector<crsat::RepairSuggestion>> repairs =
-        crsat::SuggestRepairs(schema, cls);
+        crsat::SuggestRepairs(schema, cls, *core);
     if (repairs.ok()) {
       std::cout << "  Smallest single-constraint repairs:\n";
       for (const crsat::RepairSuggestion& suggestion : *repairs) {

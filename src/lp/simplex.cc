@@ -1,6 +1,7 @@
 #include "src/lp/simplex.h"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 #include <utility>
 
@@ -116,10 +117,13 @@ struct ScalarOps<SmallRational> {
 // Column layout: [structural columns][slack/surplus columns][artificial
 // columns], plus the right-hand side kept separately. Structural columns
 // encode user variables: a nonnegative variable occupies one column; a
-// free variable is split into two columns (x = pos - neg).
+// free variable is split into two columns (x = pos - neg). A row keeps
+// only its nonzero structural terms: Psi_S rows touch a handful of the
+// hundreds of structural columns.
 struct TableauLayout {
   struct Row {
-    std::vector<Rational> coeffs;
+    // (structural column, coefficient), increasing columns, no zeros.
+    std::vector<std::pair<int, Rational>> terms;
     Rational rhs;
     ConstraintSense sense = ConstraintSense::kEqual;
     int slack_column = -1;
@@ -146,26 +150,30 @@ struct TableauLayout {
     }
     num_structural = num_columns;
 
-    // One row per constraint, with b >= 0 after sign normalization.
+    // One row per constraint, with b >= 0 after sign normalization. The
+    // expression's terms are sorted by variable with no zeros, and column
+    // numbers grow with the variable, so the terms come out sorted.
     for (const Constraint& constraint : system.constraints()) {
       Row row;
-      row.coeffs.assign(num_structural, Rational());
-      for (const auto& [var, coeff] : constraint.expr.terms()) {
-        row.coeffs[column_of_var[var]] += coeff;
-        if (neg_column_of_var[var] >= 0) {
-          row.coeffs[neg_column_of_var[var]] -= coeff;
-        }
-      }
       row.rhs = -constraint.expr.constant();
       ConstraintSense sense = constraint.sense;
-      if (row.rhs.IsNegative() ||
-          (row.rhs.IsZero() && sense == ConstraintSense::kGreaterEqual)) {
-        // Normalize to b >= 0; additionally flip zero-RHS `>=` rows into
-        // `<=` form so their slack can start basic — homogeneous systems
-        // then need (almost) no artificials and phase 1 is trivial.
-        for (Rational& c : row.coeffs) {
-          c = -c;
+      // Normalize to b >= 0; additionally flip zero-RHS `>=` rows into
+      // `<=` form so their slack can start basic — homogeneous systems
+      // then need (almost) no artificials and phase 1 is trivial.
+      const bool flip =
+          row.rhs.IsNegative() ||
+          (row.rhs.IsZero() && sense == ConstraintSense::kGreaterEqual);
+      row.terms.reserve(constraint.expr.terms().size());
+      for (const auto& [var, coeff] : constraint.expr.terms()) {
+        Rational c = flip ? -coeff : coeff;
+        if (neg_column_of_var[var] >= 0) {
+          row.terms.emplace_back(column_of_var[var], c);
+          row.terms.emplace_back(neg_column_of_var[var], -c);
+        } else {
+          row.terms.emplace_back(column_of_var[var], std::move(c));
         }
+      }
+      if (flip) {
         row.rhs = -row.rhs;
         if (sense == ConstraintSense::kLessEqual) {
           sense = ConstraintSense::kGreaterEqual;
@@ -233,44 +241,69 @@ enum class WarmStartOutcome {
   kTripped,
 };
 
-// Dense two-phase primal simplex over an exact scalar type, materialized
-// from a shared `TableauLayout`.
+// Two-phase primal simplex over an exact scalar type, materialized from a
+// shared `TableauLayout`. Cells are stored densely in one row-major block,
+// but the arithmetic of a pivot follows the nonzeros: a per-column bitset
+// of the rows holding a nonzero drives the pivot-column scan, the ratio
+// test and the warm-start row search, and each row with a nonzero in the
+// pivot column is updated at the pivot row's nonzero columns only. Rows
+// are visited in increasing order, so every pricing, ratio-test and
+// tie-break decision — and hence the pivot sequence — is the one a sweep
+// over every cell makes.
 template <typename Scalar>
 class Tableau {
  public:
   Tableau(const LinearSystem& system, const TableauLayout& layout,
           ResourceGuard* guard = nullptr)
       : system_(&system), layout_(&layout), guard_(guard),
-        live_columns_(layout.num_columns) {
+        live_columns_(layout.num_columns),
+        row_words_(OccupancyWords(layout)) {
     const size_t m = layout.rows.size();
-    matrix_.assign(m, std::vector<Scalar>(layout.num_columns, Scalar()));
+    cells_.assign(m * layout.num_columns, Scalar());
     rhs_.assign(m, Scalar());
     basis_.assign(m, -1);
+    occupancy_.assign(static_cast<size_t>(layout.num_columns) * row_words_,
+                      0);
+    basic_row_.assign(layout.num_columns, -1);
     for (size_t i = 0; i < m; ++i) {
-      const TableauLayout::Row& row = layout.rows[i];
-      for (int j = 0; j < layout.num_structural; ++j) {
-        if (!ScalarOps<Scalar>::FromRational(row.coeffs[j], &matrix_[i][j])) {
+      const int row = static_cast<int>(i);
+      const TableauLayout::Row& layout_row = layout.rows[i];
+      for (const auto& [column, coeff] : layout_row.terms) {
+        if (!ScalarOps<Scalar>::FromRational(coeff, &Cell(i, column))) {
           ok_ = false;
           return;
         }
+        SetOccupied(row, column, true);
       }
-      if (row.slack_column >= 0 &&
-          !ScalarOps<Scalar>::FromRational(row.slack_sign,
-                                           &matrix_[i][row.slack_column])) {
-        ok_ = false;
-        return;
+      if (layout_row.slack_column >= 0) {
+        if (!ScalarOps<Scalar>::FromRational(
+                layout_row.slack_sign, &Cell(i, layout_row.slack_column))) {
+          ok_ = false;
+          return;
+        }
+        SetOccupied(row, layout_row.slack_column, true);
       }
-      if (row.artificial_column >= 0) {
-        matrix_[i][row.artificial_column] = Scalar(1);
-        basis_[i] = row.artificial_column;
+      if (layout_row.artificial_column >= 0) {
+        Cell(i, layout_row.artificial_column) = Scalar(1);
+        SetOccupied(row, layout_row.artificial_column, true);
+        basis_[i] = layout_row.artificial_column;
       } else {
-        basis_[i] = row.slack_column;
+        basis_[i] = layout_row.slack_column;
       }
-      if (!ScalarOps<Scalar>::FromRational(row.rhs, &rhs_[i])) {
+      basic_row_[basis_[i]] = row;
+      if (!ScalarOps<Scalar>::FromRational(layout_row.rhs, &rhs_[i])) {
         ok_ = false;
         return;
       }
     }
+  }
+
+  // Bytes a tableau for `layout` holds: the cells, the maintained rows
+  // and the row-occupancy bitsets.
+  static std::uint64_t StorageBytes(const TableauLayout& layout) {
+    const std::uint64_t columns = layout.num_columns;
+    return layout.rows.size() * (columns + 2) * sizeof(Scalar) +
+           columns * OccupancyWords(layout) * sizeof(std::uint64_t);
   }
 
   // False when some input coefficient was not representable in `Scalar`.
@@ -305,37 +338,28 @@ class Tableau {
     if (CRSAT_FAILPOINT("lp/warm_start_reject")) {
       return WarmStartOutcome::kRejected;  // Injected shape mismatch.
     }
-    std::vector<bool> row_claimed(matrix_.size(), false);
+    std::vector<bool> row_claimed(basis_.size(), false);
     for (int column : warm.basis) {
       if (column < 0 || column >= layout_->num_with_slacks) {
         continue;  // Artificials are never adopted from a carry.
       }
       // Already basic (a slack that starts basic, or a duplicate): claim
       // its row so a later column does not evict it.
-      bool already_basic = false;
-      for (size_t i = 0; i < matrix_.size(); ++i) {
-        if (basis_[i] == column) {
-          row_claimed[i] = true;
-          already_basic = true;
-          break;
-        }
-      }
-      if (already_basic) {
+      if (basic_row_[column] >= 0) {
+        row_claimed[basic_row_[column]] = true;
         continue;
       }
       int row = -1;
       for (int prefer_artificial = 1; prefer_artificial >= 0 && row < 0;
            --prefer_artificial) {
-        for (size_t i = 0; i < matrix_.size(); ++i) {
-          if (row_claimed[i] || matrix_[i][column].IsZero()) {
-            continue;
+        ForEachRowOf(column, [&](int i) {
+          if (row_claimed[i] ||
+              (prefer_artificial == 1 && !IsArtificial(basis_[i]))) {
+            return true;
           }
-          if (prefer_artificial == 1 && !IsArtificial(basis_[i])) {
-            continue;
-          }
-          row = static_cast<int>(i);
-          break;
-        }
+          row = i;
+          return false;
+        });
       }
       if (row < 0) {
         continue;  // Dependent on the columns already placed; skip it.
@@ -414,7 +438,7 @@ class Tableau {
       }
       int entering = -1;
       for (int j = 0; j < layout_->num_with_slacks; ++j) {
-        if (matrix_[leaving_row][j].IsNegative()) {
+        if (Cell(leaving_row, j).IsNegative()) {
           entering = j;
           break;
         }
@@ -509,10 +533,46 @@ class Tableau {
   std::uint64_t dual_pivots() const { return dual_pivots_; }
 
  private:
+  static size_t OccupancyWords(const TableauLayout& layout) {
+    return (layout.rows.size() + 63) / 64;
+  }
+
+  Scalar* Row(size_t i) { return &cells_[i * layout_->num_columns]; }
+  Scalar& Cell(size_t i, int j) { return Row(i)[j]; }
+
   int first_artificial() const { return layout_->num_with_slacks; }
 
   bool IsArtificial(int column) const {
     return column >= layout_->num_with_slacks;
+  }
+
+  // Keeps `column`'s row bitset equal to "the cell is nonzero". Called on
+  // every cell write, so the bitsets never disagree with the values (an
+  // overflowed fast-tier cell reads as zero in both).
+  void SetOccupied(int row, int column, bool nonzero) {
+    std::uint64_t& word =
+        occupancy_[static_cast<size_t>(column) * row_words_ + row / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (row % 64);
+    word = nonzero ? (word | bit) : (word & ~bit);
+  }
+
+  // Calls `visit(row)` for each row with a nonzero in `column`, in
+  // increasing row order, until `visit` returns false. `visit` may change
+  // the occupancy of the row it is given.
+  template <typename Visit>
+  void ForEachRowOf(int column, Visit visit) const {
+    const std::uint64_t* words =
+        &occupancy_[static_cast<size_t>(column) * row_words_];
+    for (size_t w = 0; w < row_words_; ++w) {
+      std::uint64_t bits = words[w];
+      while (bits != 0) {
+        const int row = static_cast<int>(w * 64) + std::countr_zero(bits);
+        bits &= bits - 1;
+        if (!visit(row)) {
+          return;
+        }
+      }
+    }
   }
 
   Scalar ObjectiveValue(const std::vector<Scalar>& costs) const {
@@ -537,21 +597,19 @@ class Tableau {
     const int num_columns = live_columns_;
     // Initialize the maintained reduced-cost row:
     //   z_j = c_j - sum_i c_B(i) * T[i][j],
-    // which Pivot then updates in O(columns) like any other row.
+    // summed over each column's nonzero rows in increasing order (the
+    // order a row-by-row sweep accumulates in); Pivot then updates it
+    // like any other row.
     reduced_.assign(num_columns, Scalar());
     for (int j = 0; j < num_columns; ++j) {
       reduced_[j] = costs[j];
-    }
-    for (size_t i = 0; i < basis_.size(); ++i) {
-      const Scalar& basis_cost = costs[basis_[i]];
-      if (basis_cost.IsZero()) {
-        continue;
-      }
-      for (int j = 0; j < num_columns; ++j) {
-        if (!matrix_[i][j].IsZero()) {
-          reduced_[j] -= basis_cost * matrix_[i][j];
+      ForEachRowOf(j, [&](int i) {
+        const Scalar& basis_cost = costs[basis_[i]];
+        if (!basis_cost.IsZero()) {
+          reduced_[j] -= basis_cost * Cell(i, j);
         }
-      }
+        return true;
+      });
     }
 
     constexpr int kBlandStreak = 30;
@@ -585,17 +643,18 @@ class Tableau {
       }
       int leaving_row = -1;
       Scalar best_ratio;
-      for (size_t i = 0; i < basis_.size(); ++i) {
-        if (!matrix_[i][entering].IsPositive()) {
-          continue;
+      ForEachRowOf(entering, [&](int i) {
+        if (!Cell(i, entering).IsPositive()) {
+          return true;
         }
-        Scalar ratio = rhs_[i] / matrix_[i][entering];
+        Scalar ratio = rhs_[i] / Cell(i, entering);
         if (leaving_row < 0 || ratio < best_ratio ||
             (ratio == best_ratio && basis_[i] < basis_[leaving_row])) {
-          leaving_row = static_cast<int>(i);
+          leaving_row = i;
           best_ratio = ratio;
         }
-      }
+        return true;
+      });
       if (ScalarOps<Scalar>::Overflowed()) {
         return RunOutcome::kOverflow;
       }
@@ -611,77 +670,112 @@ class Tableau {
     }
   }
 
-  bool IsBasic(int column) const {
-    for (int b : basis_) {
-      if (b == column) {
+  // Eliminates `pivot_column` from every other row. Only the pivot row's
+  // nonzero live columns can change anywhere, and only rows with a
+  // nonzero in the pivot column are touched.
+  void Pivot(int pivot_row, int pivot_column) {
+    Scalar* row = Row(pivot_row);
+    pivot_columns_.clear();
+    for (int j = 0; j < live_columns_; ++j) {
+      if (!row[j].IsZero()) {
+        pivot_columns_.push_back(j);
+      }
+    }
+    const Scalar pivot = row[pivot_column];
+    if (pivot != Scalar(1)) {
+      for (int j : pivot_columns_) {
+        row[j] /= pivot;
+        SetOccupied(pivot_row, j, !row[j].IsZero());
+      }
+      rhs_[pivot_row] /= pivot;
+    }
+    ForEachRowOf(pivot_column, [&](int i) {
+      if (i == pivot_row) {
         return true;
       }
-    }
-    return false;
-  }
-
-  void Pivot(int pivot_row, int pivot_column) {
-    const int num_columns = live_columns_;
-    Scalar pivot = matrix_[pivot_row][pivot_column];
-    for (int j = 0; j < num_columns; ++j) {
-      matrix_[pivot_row][j] /= pivot;
-    }
-    rhs_[pivot_row] /= pivot;
-    for (size_t i = 0; i < matrix_.size(); ++i) {
-      if (static_cast<int>(i) == pivot_row) {
-        continue;
-      }
-      Scalar factor = matrix_[i][pivot_column];
-      if (factor.IsZero()) {
-        continue;
-      }
-      for (int j = 0; j < num_columns; ++j) {
-        if (!matrix_[pivot_row][j].IsZero()) {
-          matrix_[i][j] -= factor * matrix_[pivot_row][j];
-        }
+      Scalar* target = Row(i);
+      const Scalar factor = target[pivot_column];
+      for (int j : pivot_columns_) {
+        target[j] -= factor * row[j];
+        SetOccupied(i, j, !target[j].IsZero());
       }
       rhs_[i] -= factor * rhs_[pivot_row];
-    }
+      return true;
+    });
     // The maintained reduced-cost row is eliminated like any other row
     // (only meaningful while RunSimplex is active; stale otherwise).
-    if (reduced_.size() == static_cast<size_t>(num_columns)) {
-      Scalar factor = reduced_[pivot_column];
+    if (reduced_.size() == static_cast<size_t>(live_columns_)) {
+      const Scalar factor = reduced_[pivot_column];
       if (!factor.IsZero()) {
-        for (int j = 0; j < num_columns; ++j) {
-          if (!matrix_[pivot_row][j].IsZero()) {
-            reduced_[j] -= factor * matrix_[pivot_row][j];
-          }
+        for (int j : pivot_columns_) {
+          reduced_[j] -= factor * row[j];
         }
       }
     }
+    basic_row_[basis_[pivot_row]] = -1;
+    basic_row_[pivot_column] = pivot_row;
     basis_[pivot_row] = pivot_column;
   }
 
   // After a successful phase 1, pivots any (necessarily degenerate)
   // artificial variables out of the basis; rows that cannot be pivoted are
-  // redundant and are dropped.
+  // redundant and are dropped. A redundant row is zero in every real
+  // column, so the later pivots of this pass leave it untouched, and the
+  // drops can wait until the pass ends.
   void EliminateArtificialsFromBasis() {
-    for (size_t i = 0; i < basis_.size();) {
+    std::vector<bool> redundant(basis_.size(), false);
+    bool any_redundant = false;
+    for (size_t i = 0; i < basis_.size(); ++i) {
       if (!IsArtificial(basis_[i])) {
-        ++i;
         continue;
       }
       int pivot_column = -1;
       for (int j = 0; j < layout_->num_with_slacks; ++j) {
-        if (!matrix_[i][j].IsZero() && !IsBasic(j)) {
+        if (!Cell(i, j).IsZero() && basic_row_[j] < 0) {
           pivot_column = j;
           break;
         }
       }
       if (pivot_column >= 0) {
         Pivot(static_cast<int>(i), pivot_column);
-        ++i;
       } else {
-        // Redundant constraint: remove the row.
-        matrix_.erase(matrix_.begin() + i);
-        rhs_.erase(rhs_.begin() + i);
-        basis_.erase(basis_.begin() + i);
+        redundant[i] = true;
+        any_redundant = true;
       }
+    }
+    if (any_redundant) {
+      DropRows(redundant);
+    }
+  }
+
+  // Removes the marked rows, keeping the others in order, and rebuilds
+  // the row indices.
+  void DropRows(const std::vector<bool>& drop) {
+    size_t kept = 0;
+    for (size_t i = 0; i < basis_.size(); ++i) {
+      if (drop[i]) {
+        continue;
+      }
+      if (kept != i) {
+        std::move(Row(i), Row(i) + layout_->num_columns, Row(kept));
+        rhs_[kept] = std::move(rhs_[i]);
+        basis_[kept] = basis_[i];
+      }
+      ++kept;
+    }
+    cells_.resize(kept * layout_->num_columns);
+    rhs_.resize(kept);
+    basis_.resize(kept);
+    std::fill(occupancy_.begin(), occupancy_.end(), 0);
+    std::fill(basic_row_.begin(), basic_row_.end(), -1);
+    for (size_t i = 0; i < kept; ++i) {
+      const int row = static_cast<int>(i);
+      for (int j = 0; j < layout_->num_columns; ++j) {
+        if (!Cell(i, j).IsZero()) {
+          SetOccupied(row, j, true);
+        }
+      }
+      basic_row_[basis_[i]] = row;
     }
   }
 
@@ -695,10 +789,20 @@ class Tableau {
   std::uint64_t pivots_ = 0;
   std::uint64_t phase1_pivots_ = 0;
   std::uint64_t dual_pivots_ = 0;
-  std::vector<std::vector<Scalar>> matrix_;
+  // The m x num_columns cells, row-major in one block.
+  std::vector<Scalar> cells_;
   std::vector<Scalar> rhs_;
   std::vector<int> basis_;
   std::vector<Scalar> reduced_;
+  // Row bitsets, `row_words_` words per column: bit i of column j is set
+  // iff Cell(i, j) is nonzero. Columns at or past `live_columns_` go
+  // stale once phase 2 shrinks the sweep, like their cells.
+  size_t row_words_ = 0;
+  std::vector<std::uint64_t> occupancy_;
+  // The row a column is basic in, or -1.
+  std::vector<int> basic_row_;
+  // The pivot row's nonzero live columns, refilled by every Pivot.
+  std::vector<int> pivot_columns_;
 };
 
 enum class TierOutcome { kCompleted, kOverflow, kTripped };
@@ -741,13 +845,11 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     }
   }
 
-  // Charge the dominant allocation (the dense tableau matrix plus the
-  // maintained rows) against the guard's memory budget for the duration of
-  // this tier's attempt.
-  ScopedMemoryCharge tableau_charge(
-      options.guard, layout.rows.size() *
-                         (static_cast<std::uint64_t>(layout.num_columns) + 2) *
-                         sizeof(Scalar));
+  // Charge the dominant allocation (the tableau cells, the maintained rows
+  // and the row bitsets) against the guard's memory budget for the
+  // duration of this tier's attempt.
+  ScopedMemoryCharge tableau_charge(options.guard,
+                                    Tableau<Scalar>::StorageBytes(layout));
   Tableau<Scalar> tableau(system, layout, options.guard);
   if (!tableau.ok()) {
     return TierOutcome::kOverflow;

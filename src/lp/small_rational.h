@@ -1,10 +1,11 @@
 #ifndef CRSAT_LP_SMALL_RATIONAL_H_
 #define CRSAT_LP_SMALL_RATIONAL_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <numeric>
+#include <utility>
 
 namespace crsat {
 
@@ -35,10 +36,7 @@ class SmallRational {
                 << std::endl;
       std::abort();
     }
-    SmallRational result;
-    result.num_ = num;
-    result.den_ = den;
-    return result;
+    return FromParts(num, den);
   }
 
   std::int64_t numerator() const { return num_; }
@@ -132,10 +130,38 @@ class SmallRational {
 
  private:
   // Reduces num/den (den > 0 required) and collapses to int64, raising the
-  // overflow flag when the reduced value does not fit.
+  // overflow flag when the reduced value does not fit. Integer results
+  // (den == 1, every sum and product of integers) need no gcd, and parts
+  // that already fit int64 reduce in 64-bit arithmetic; only genuinely
+  // wide intermediates take the 128-bit path.
   static SmallRational Make(__int128 num, __int128 den) {
     if (num == 0) {
       return SmallRational();
+    }
+    if (den == 1) {
+      if (num > kMaxInt64 || num < kMinInt64) {
+        tls_overflow_ = true;
+        return SmallRational();  // Placeholder; caller must check the flag.
+      }
+      return FromParts(static_cast<std::int64_t>(num), 1);
+    }
+    if (num >= kMinInt64 && num <= kMaxInt64 && den <= kMaxInt64) {
+      // |INT64_MIN| = 2^63 fits uint64, and dividing by a gcd >= 1 keeps
+      // both parts in range.
+      const std::int64_t small_num = static_cast<std::int64_t>(num);
+      const std::int64_t small_den = static_cast<std::int64_t>(den);
+      const std::uint64_t magnitude =
+          small_num < 0 ? 0 - static_cast<std::uint64_t>(small_num)
+                        : static_cast<std::uint64_t>(small_num);
+      const std::uint64_t divisor_gcd =
+          Gcd64(magnitude, static_cast<std::uint64_t>(small_den));
+      if (divisor_gcd == 1) {
+        return FromParts(small_num, small_den);
+      }
+      const std::uint64_t reduced = magnitude / divisor_gcd;
+      return FromParts(small_num < 0 ? static_cast<std::int64_t>(0 - reduced)
+                                     : static_cast<std::int64_t>(reduced),
+                       small_den / static_cast<std::int64_t>(divisor_gcd));
     }
     unsigned __int128 magnitude = num < 0
                                       ? static_cast<unsigned __int128>(-num)
@@ -148,14 +174,36 @@ class SmallRational {
       tls_overflow_ = true;
       return SmallRational();  // Placeholder; caller must check the flag.
     }
+    return FromParts(static_cast<std::int64_t>(num),
+                     static_cast<std::int64_t>(den));
+  }
+
+  static SmallRational FromParts(std::int64_t num, std::int64_t den) {
     SmallRational result;
-    result.num_ = static_cast<std::int64_t>(num);
-    result.den_ = static_cast<std::int64_t>(den);
+    result.num_ = num;
+    result.den_ = den;
     return result;
   }
 
+  // Binary (Stein's) gcd; Gcd64(0, b) == b.
+  static std::uint64_t Gcd64(std::uint64_t a, std::uint64_t b) {
+    if (a == 0 || b == 0) {
+      return a | b;
+    }
+    const int shift = std::countr_zero(a | b);
+    a >>= std::countr_zero(a);
+    do {
+      b >>= std::countr_zero(b);
+      if (a > b) {
+        std::swap(a, b);
+      }
+      b -= a;
+    } while (b != 0);
+    return a << shift;
+  }
+
   static unsigned __int128 Gcd128(unsigned __int128 a, unsigned __int128 b) {
-    // Drop to 64-bit Euclid as soon as both operands fit; the wide steps
+    // Drop to the 64-bit gcd as soon as both operands fit; the wide steps
     // are rare (operands start below 2^127).
     while (a > kMaxUint64 || b > kMaxUint64) {
       if (a == 0) {
@@ -170,8 +218,7 @@ class SmallRational {
         b %= a;
       }
     }
-    return std::gcd(static_cast<std::uint64_t>(a),
-                    static_cast<std::uint64_t>(b));
+    return Gcd64(static_cast<std::uint64_t>(a), static_cast<std::uint64_t>(b));
   }
 
   static constexpr __int128 kMaxInt64 = INT64_MAX;

@@ -103,9 +103,8 @@ Result<std::optional<Cardinality>> SearchRelaxedMax(
 }  // namespace
 
 Result<std::vector<RepairSuggestion>> SuggestRepairs(
-    const Schema& schema, ClassId cls, const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(UnsatCore core,
-                         MinimizeUnsatCore(schema, cls, options));
+    const Schema& schema, ClassId cls, const UnsatCore& core,
+    const ExpansionOptions& options) {
   std::vector<RepairSuggestion> suggestions;
   for (const CoreConstraint& constraint : core.constraints) {
     if (constraint.kind != CoreConstraint::Kind::kCardinality) {

@@ -36,8 +36,9 @@ struct RepairSuggestion {
   std::string description;
 };
 
-/// Computes repair suggestions for an unsatisfiable class: the minimal
-/// unsatisfiable core is extracted first (`MinimizeUnsatCore`), and then
+/// Computes repair suggestions for an unsatisfiable class from its
+/// minimal unsatisfiable core `core` (`MinimizeUnsatCore(schema, cls,
+/// options)`, which callers usually print too, so it is computed once):
 /// for every core constraint the *smallest* single edit that restores the
 /// class is searched — the largest still-working lowered `min` and the
 /// smallest raised `max` for cardinality declarations (satisfiability is
@@ -45,10 +46,9 @@ struct RepairSuggestion {
 /// otherwise. This realizes the Section 5 "schema debugging" programme:
 /// not just *why* the class is empty, but the nearest schemas in which it
 /// is not.
-///
-/// Fails with `InvalidArgument` when `cls` is satisfiable.
 Result<std::vector<RepairSuggestion>> SuggestRepairs(
-    const Schema& schema, ClassId cls, const ExpansionOptions& options = {});
+    const Schema& schema, ClassId cls, const UnsatCore& core,
+    const ExpansionOptions& options = {});
 
 }  // namespace crsat
 

@@ -63,8 +63,11 @@ RandomSchemaParams ReportParams(std::uint32_t seed) {
 std::string AnalysisDigest(const Schema& schema, bool full) {
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
+  // Bind the Result first: a range-for over `SatisfiableClasses().value()`
+  // would iterate a reference into a temporary destroyed before the body.
+  const Result<std::vector<bool>> satisfiable = checker.SatisfiableClasses();
   std::string digest;
-  for (bool flag : checker.SatisfiableClasses().value()) {
+  for (bool flag : satisfiable.value()) {
     digest += flag ? '1' : '0';
   }
   if (!full) {

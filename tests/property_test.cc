@@ -233,7 +233,7 @@ TEST_P(RepairSoundnessTest, CoresMinimalOnRandomUnsatClasses) {
     // Every repair suggestion names a core constraint, and relaxations
     // carry a replacement bound strictly looser than the declared one.
     std::vector<RepairSuggestion> repairs =
-        SuggestRepairs(schema, cls).value();
+        SuggestRepairs(schema, cls, core).value();
     EXPECT_FALSE(repairs.empty()) << "seed " << params.seed;
     for (const RepairSuggestion& suggestion : repairs) {
       if (suggestion.action == RepairSuggestion::Action::kRelaxMin) {

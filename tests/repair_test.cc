@@ -12,19 +12,26 @@ using crsat::testing::Figure1Schema;
 using crsat::testing::MeetingSchema;
 using crsat::testing::MeetingSchemaWithEagerDiscussants;
 
+// Repairs are computed from the class's minimal unsat core, as `debug`
+// does: the core is extracted once and handed over.
+std::vector<RepairSuggestion> RepairsFor(const Schema& schema, ClassId cls) {
+  const UnsatCore core = MinimizeUnsatCore(schema, cls).value();
+  return SuggestRepairs(schema, cls, core).value();
+}
+
 TEST(RepairTest, SatisfiableClassHasNoRepairs) {
+  // A satisfiable class has no core, so there is nothing to repair.
   Schema schema = MeetingSchema();
-  Result<std::vector<RepairSuggestion>> result =
-      SuggestRepairs(schema, schema.FindClass("Speaker").value());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  Result<UnsatCore> core =
+      MinimizeUnsatCore(schema, schema.FindClass("Speaker").value());
+  ASSERT_FALSE(core.ok());
+  EXPECT_EQ(core.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RepairTest, Figure1SuggestionsAreMinimalEdits) {
   Schema schema = Figure1Schema();
   ClassId c = schema.FindClass("C").value();
-  std::vector<RepairSuggestion> suggestions =
-      SuggestRepairs(schema, c).value();
+  std::vector<RepairSuggestion> suggestions = RepairsFor(schema, c);
   // Expected: remove the ISA edge, lower (2,*) min to 1, raise (0,1) max
   // to 2.
   bool found_isa_removal = false;
@@ -56,8 +63,7 @@ TEST(RepairTest, SuggestionsActuallyRepair) {
   // satisfiable.
   Schema schema = Figure1Schema();
   ClassId c = schema.FindClass("C").value();
-  std::vector<RepairSuggestion> suggestions =
-      SuggestRepairs(schema, c).value();
+  std::vector<RepairSuggestion> suggestions = RepairsFor(schema, c);
   for (const RepairSuggestion& suggestion : suggestions) {
     if (!suggestion.relaxed.has_value()) {
       continue;
@@ -88,8 +94,7 @@ TEST(RepairTest, SuggestionsActuallyRepair) {
 TEST(RepairTest, EagerDiscussantSuggestionsIncludeTheRefinement) {
   Schema schema = MeetingSchemaWithEagerDiscussants();
   ClassId speaker = schema.FindClass("Speaker").value();
-  std::vector<RepairSuggestion> suggestions =
-      SuggestRepairs(schema, speaker).value();
+  std::vector<RepairSuggestion> suggestions = RepairsFor(schema, speaker);
   EXPECT_FALSE(suggestions.empty());
   bool mentions_refinement = false;
   for (const RepairSuggestion& suggestion : suggestions) {
@@ -117,7 +122,7 @@ TEST(RepairTest, DisjointnessDrivenUnsatSuggestsRemovals) {
   builder.AddRelationship("R", {{"U", "A"}, {"V", "C"}});
   Schema schema = builder.Build().value();
   std::vector<RepairSuggestion> suggestions =
-      SuggestRepairs(schema, schema.FindClass("B").value()).value();
+      RepairsFor(schema, schema.FindClass("B").value());
   ASSERT_EQ(suggestions.size(), 3u);  // Two ISA edges + disjointness.
   for (const RepairSuggestion& suggestion : suggestions) {
     EXPECT_EQ(suggestion.action, RepairSuggestion::Action::kRemove);
