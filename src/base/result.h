@@ -52,8 +52,10 @@ class [[nodiscard]] Result {
     return *value_;
   }
 
-  /// The contained value, moved out. Aborts if `!ok()`.
-  T&& value() && {
+  /// The contained value, moved out. Aborts if `!ok()`. Returns by value,
+  /// so `for (x : f().value())` iterates an object that lives as long as
+  /// the loop, not a reference into the destroyed temporary `Result`.
+  T value() && {
     CheckHasValue();
     return *std::move(value_);
   }

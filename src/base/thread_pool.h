@@ -14,8 +14,9 @@ namespace crsat {
 
 class ResourceGuard;
 
-/// Fixed-size task pool used by the reasoning core to fan independent LP
-/// probes and implication queries across cores.
+/// Fixed-size task pool: crsatd runs its requests on it, and the reasoning
+/// core fans the implied-cardinality report rows and saturation's
+/// per-class decisions across it.
 ///
 /// A pool of parallelism `n` owns `n` worker threads, so `Post` can keep
 /// `n` tasks running at once (crsatd's `--threads N` means N requests
@@ -28,8 +29,8 @@ class ResourceGuard;
 ///
 /// Determinism contract: `ParallelFor` only schedules; callers that need
 /// bit-identical results across thread counts must make their *work*
-/// independent of scheduling (crsat's batched implication sweep collects
-/// per-index results and applies them in index order afterwards).
+/// independent of scheduling (the implied-cardinality report collects
+/// per-index rows and applies them in index order afterwards).
 ///
 /// Lock discipline (statically checked under Clang `-Wthread-safety`):
 /// `mutex_` guards the task queue and the stop flag; `wake_` signals

@@ -47,7 +47,9 @@ struct SimplexStats {
   /// Total `Solve`/`SolveWith` calls.
   std::atomic<std::uint64_t> solves{0};
   /// Simplex iterations across both tiers, including those of fast-tier
-  /// attempts later abandoned to overflow.
+  /// attempts later abandoned to overflow. Not counted: the pivots that
+  /// install a warm-start basis (carried or crash) and the pivots of
+  /// `EliminateArtificialsFromBasis`, though they run the same kernel.
   std::atomic<std::uint64_t> pivots{0};
   /// Subset of `pivots` spent in phase 1.
   std::atomic<std::uint64_t> phase1_pivots{0};
@@ -105,8 +107,8 @@ struct WarmStartBasis {
 /// (variable count, constraint count) lets every shape family warm-start
 /// within itself; the dual-repair path then absorbs the remaining
 /// same-shape coefficient differences. Thread-compatible, not thread-safe:
-/// confine a cache to one thread, and give concurrent probes private
-/// copies (see `CardinalityImplicationEngine::CheckAllPartial`).
+/// confine a cache to one thread, as its owner
+/// (`CardinalityImplicationEngine`, `SatisfiabilityChecker`) is.
 class WarmStartBasisCache {
  public:
   /// The stored basis for this shape, or nullptr. The pointer is
@@ -116,8 +118,6 @@ class WarmStartBasisCache {
   /// Stores (or replaces) the basis for this shape, evicting the least
   /// recently used entry when full. Empty bases are ignored.
   void Store(int num_variables, int num_constraints, WarmStartBasis basis);
-
-  bool empty() const { return entries_.empty(); }
 
  private:
   struct Entry {

@@ -8,7 +8,6 @@
 
 #include "src/base/incremental.h"
 #include "src/base/resource_guard.h"
-#include "src/base/thread_pool.h"
 #include "src/reasoner/satisfiability.h"
 
 namespace crsat {
@@ -23,8 +22,7 @@ ImplicationStats& GetImplicationStats() {
   return stats;
 }
 
-std::optional<bool> BoundDominanceCache::LookupMin(std::uint64_t min) {
-  MutexLock lock(mutex_);
+std::optional<bool> BoundDominanceCache::LookupMin(std::uint64_t min) const {
   if (min <= greatest_implied_min_) {
     return true;
   }
@@ -35,7 +33,6 @@ std::optional<bool> BoundDominanceCache::LookupMin(std::uint64_t min) {
 }
 
 void BoundDominanceCache::RecordMin(std::uint64_t min, bool implied) {
-  MutexLock lock(mutex_);
   if (implied) {
     greatest_implied_min_ = std::max(greatest_implied_min_, min);
   } else {
@@ -44,8 +41,7 @@ void BoundDominanceCache::RecordMin(std::uint64_t min, bool implied) {
   }
 }
 
-std::optional<bool> BoundDominanceCache::LookupMax(std::uint64_t max) {
-  MutexLock lock(mutex_);
+std::optional<bool> BoundDominanceCache::LookupMax(std::uint64_t max) const {
   if (least_implied_max_.has_value() && max >= *least_implied_max_) {
     return true;
   }
@@ -56,7 +52,6 @@ std::optional<bool> BoundDominanceCache::LookupMax(std::uint64_t max) {
 }
 
 void BoundDominanceCache::RecordMax(std::uint64_t max, bool implied) {
-  MutexLock lock(mutex_);
   if (implied) {
     least_implied_max_ =
         std::min(least_implied_max_.value_or(max), max);
@@ -77,19 +72,19 @@ std::string FreshClassName(const Schema& schema) {
 }
 
 // Consults a triple's dominance cache for a probe at `bound`; counts the
-// lookup and any hit. Returns nullopt (and counts nothing) when the cache
-// is absent or the incremental paths are disabled.
-std::optional<bool> ConsultDominance(BoundDominanceCache* cache,
+// lookup and any hit. Returns nullopt (and counts nothing) when the
+// incremental paths are disabled.
+std::optional<bool> ConsultDominance(const BoundDominanceCache& cache,
                                      ImplicationQuery::Kind kind,
                                      std::uint64_t bound) {
-  if (cache == nullptr || !IncrementalReasoningEnabled()) {
+  if (!IncrementalReasoningEnabled()) {
     return std::nullopt;
   }
   ImplicationStats& stats = GetImplicationStats();
   stats.dominance_lookups.fetch_add(1, std::memory_order_relaxed);
   std::optional<bool> verdict = kind == ImplicationQuery::Kind::kMin
-                                    ? cache->LookupMin(bound)
-                                    : cache->LookupMax(bound);
+                                    ? cache.LookupMin(bound)
+                                    : cache.LookupMax(bound);
   if (verdict.has_value()) {
     stats.dominance_hits.fetch_add(1, std::memory_order_relaxed);
   }
@@ -147,7 +142,6 @@ Result<CardinalityImplicationEngine> CardinalityImplicationEngine::Create(
   // lets gallop/bisection skip the LP for every bound the schema states
   // outright.
   const Schema& ext = *engine.extended_schema_;
-  engine.dominance_ = std::make_unique<BoundDominanceCache>();
   for (ClassId super : ext.AllClasses()) {
     if (!ext.IsSubclassOf(engine.base_class_, super) ||
         !ext.IsSubclassOf(super, ext.PrimaryClass(engine.role_))) {
@@ -156,67 +150,55 @@ Result<CardinalityImplicationEngine> CardinalityImplicationEngine::Create(
     Cardinality declared = ext.GetCardinality(super, engine.rel_,
                                               engine.role_);
     if (declared.min > 0) {
-      engine.dominance_->RecordMin(declared.min, /*implied=*/true);
+      engine.dominance_.RecordMin(declared.min, /*implied=*/true);
     }
     if (declared.max.has_value()) {
-      engine.dominance_->RecordMax(*declared.max, /*implied=*/true);
+      engine.dominance_.RecordMax(*declared.max, /*implied=*/true);
     }
   }
   return engine;
 }
 
-Result<bool> CardinalityImplicationEngine::AuxiliarySatisfiableWith(
-    Cardinality cardinality, WarmStartBasisCache* cache) const {
+Result<bool> CardinalityImplicationEngine::AuxiliarySatisfiable(
+    Cardinality cardinality) const {
   std::vector<CardinalityOverride> overrides = {
       CardinalityOverride{aux_class_, rel_, role_, cardinality}};
   SatisfiabilityChecker checker(*expansion_, &overrides);
-  checker.SetProbeBasisCache(cache);
+  checker.SetProbeBasisCache(&carry_cache_);
   return checker.IsTargetSatisfiable(aux_targets_);
-}
-
-Result<bool> CardinalityImplicationEngine::ImpliesMinWith(
-    std::uint64_t min, WarmStartBasisCache* cache) const {
-  if (min == 0) {
-    return true;  // Trivial bound.
-  }
-  if (std::optional<bool> dominated = ConsultDominance(
-          dominance_.get(), ImplicationQuery::Kind::kMin, min)) {
-    return *dominated;
-  }
-  Cardinality cardinality;
-  cardinality.max = min - 1;
-  CRSAT_ASSIGN_OR_RETURN(bool violable,
-                         AuxiliarySatisfiableWith(cardinality, cache));
-  if (dominance_ != nullptr && IncrementalReasoningEnabled()) {
-    dominance_->RecordMin(min, !violable);
-  }
-  return !violable;
-}
-
-Result<bool> CardinalityImplicationEngine::ImpliesMaxWith(
-    std::uint64_t max, WarmStartBasisCache* cache) const {
-  if (std::optional<bool> dominated = ConsultDominance(
-          dominance_.get(), ImplicationQuery::Kind::kMax, max)) {
-    return *dominated;
-  }
-  Cardinality cardinality;
-  cardinality.min = max + 1;
-  CRSAT_ASSIGN_OR_RETURN(bool violable,
-                         AuxiliarySatisfiableWith(cardinality, cache));
-  if (dominance_ != nullptr && IncrementalReasoningEnabled()) {
-    dominance_->RecordMax(max, !violable);
-  }
-  return !violable;
 }
 
 Result<bool> CardinalityImplicationEngine::ImpliesMin(
     std::uint64_t min) const {
-  return ImpliesMinWith(min, &carry_cache_);
+  if (min == 0) {
+    return true;  // Trivial bound.
+  }
+  if (std::optional<bool> dominated = ConsultDominance(
+          dominance_, ImplicationQuery::Kind::kMin, min)) {
+    return *dominated;
+  }
+  Cardinality cardinality;
+  cardinality.max = min - 1;
+  CRSAT_ASSIGN_OR_RETURN(bool violable, AuxiliarySatisfiable(cardinality));
+  if (IncrementalReasoningEnabled()) {
+    dominance_.RecordMin(min, !violable);
+  }
+  return !violable;
 }
 
 Result<bool> CardinalityImplicationEngine::ImpliesMax(
     std::uint64_t max) const {
-  return ImpliesMaxWith(max, &carry_cache_);
+  if (std::optional<bool> dominated = ConsultDominance(
+          dominance_, ImplicationQuery::Kind::kMax, max)) {
+    return *dominated;
+  }
+  Cardinality cardinality;
+  cardinality.min = max + 1;
+  CRSAT_ASSIGN_OR_RETURN(bool violable, AuxiliarySatisfiable(cardinality));
+  if (IncrementalReasoningEnabled()) {
+    dominance_.RecordMax(max, !violable);
+  }
+  return !violable;
 }
 
 Result<std::vector<bool>> CardinalityImplicationEngine::CheckAll(
@@ -238,73 +220,58 @@ Result<std::vector<bool>> CardinalityImplicationEngine::CheckAll(
 Result<std::vector<ImplicationVerdict>>
 CardinalityImplicationEngine::CheckAllPartial(
     const std::vector<ImplicationQuery>& queries) const {
-  // Each query is one satisfiability probe against the shared (immutable)
-  // expansion; probes build their own SatisfiabilityChecker, so they are
-  // independent. Verdicts are collected per index and combined in query
-  // order afterwards — results do not depend on scheduling. Every probe
-  // warm starts from a private *copy* of the current basis cache (they all
-  // see the same snapshot regardless of thread count); the first query (in
-  // query order) that ends up holding bases donates its cache back,
-  // deterministically. The dominance memo is shared as-is — it is
-  // thread-safe and only ever accumulates sound facts, so verdicts stay
-  // schedule-independent even when probes race to record.
   ResourceGuard* guard = expansion_->options().guard;
-  std::vector<std::optional<Result<bool>>> probes(queries.size());
-  std::vector<WarmStartBasisCache> caches(queries.size(), carry_cache_);
-  GlobalThreadPool().ParallelFor(
-      queries.size(),
-      [&](size_t i) {
-        const ImplicationQuery& query = queries[i];
-        probes[i] = query.kind == ImplicationQuery::Kind::kMin
-                        ? ImpliesMinWith(query.bound, &caches[i])
-                        : ImpliesMaxWith(query.bound, &caches[i]);
-      },
-      guard);
-  for (WarmStartBasisCache& cache : caches) {
-    if (!cache.empty()) {
-      carry_cache_ = std::move(cache);
-      break;
-    }
-  }
   std::vector<ImplicationVerdict> verdicts(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ImplicationVerdict& verdict = verdicts[i];
-    if (!probes[i].has_value()) {
-      // The pool skipped this probe after the guard tripped.
-      verdict.outcome = ImplicationVerdict::Outcome::kUnknown;
-      verdict.reason = guard->TripStatus().code();
-      continue;
-    }
-    if (!probes[i]->ok()) {
-      if (IsResourceLimitStatus(probes[i]->status().code())) {
-        verdict.outcome = ImplicationVerdict::Outcome::kUnknown;
-        verdict.reason = probes[i]->status().code();
+    // The poll stops the queries that need no LP (a zero minimum, a
+    // dominated bound) too, so every query after a trip is unknown.
+    Status status =
+        guard != nullptr ? guard->Check("implication/query") : OkStatus();
+    if (status.ok()) {
+      const ImplicationQuery& query = queries[i];
+      Result<bool> probe = query.kind == ImplicationQuery::Kind::kMin
+                               ? ImpliesMin(query.bound)
+                               : ImpliesMax(query.bound);
+      if (probe.ok()) {
+        verdicts[i].outcome = *probe
+                                  ? ImplicationVerdict::Outcome::kImplied
+                                  : ImplicationVerdict::Outcome::kNotImplied;
         continue;
       }
-      return probes[i]->status();  // Genuine error: fail the batch.
+      status = probe.status();
     }
-    verdict.outcome = probes[i]->value()
-                          ? ImplicationVerdict::Outcome::kImplied
-                          : ImplicationVerdict::Outcome::kNotImplied;
+    if (!IsResourceLimitStatus(status.code())) {
+      return status;  // Genuine error: fail the batch.
+    }
+    verdicts[i].reason = status.code();  // Outcome stays kUnknown.
   }
   return verdicts;
 }
 
 Result<bool> CardinalityImplicationEngine::IsBaseClassSatisfiable() const {
-  // The unconstrained auxiliary subclass does not affect the other
-  // classes' satisfiability (it can always be empty), so the extended
-  // expansion answers for the base schema directly.
-  SatisfiabilityChecker checker(*expansion_);
-  return checker.IsTargetSatisfiable(base_targets_);
+  if (!base_satisfiable_.has_value()) {
+    // The unconstrained auxiliary subclass does not affect the other
+    // classes' satisfiability (it can always be empty), so the extended
+    // expansion answers for the base schema directly.
+    SatisfiabilityChecker checker(*expansion_);
+    CRSAT_ASSIGN_OR_RETURN(base_satisfiable_,
+                           checker.IsTargetSatisfiable(base_targets_));
+  }
+  return *base_satisfiable_;
 }
 
-Result<std::uint64_t> CardinalityImplicationEngine::TightestMin() const {
+Status CardinalityImplicationEngine::RequireSatisfiableBaseClass() const {
   CRSAT_ASSIGN_OR_RETURN(bool satisfiable, IsBaseClassSatisfiable());
   if (!satisfiable) {
     return InvalidArgumentError(
         "class '" + extended_schema_->ClassName(base_class_) +
         "' is unsatisfiable; every cardinality bound is vacuously implied");
   }
+  return OkStatus();
+}
+
+Result<std::uint64_t> CardinalityImplicationEngine::TightestMin() const {
+  CRSAT_RETURN_IF_ERROR(RequireSatisfiableBaseClass());
   // Implied-min bounds are downward closed; gallop then bisect for the
   // largest implied one. Termination: the class is satisfiable, so some
   // model realizes a finite per-instance count t, and min = t+1 is not
@@ -333,12 +300,7 @@ Result<std::uint64_t> CardinalityImplicationEngine::TightestMin() const {
 
 Result<std::optional<std::uint64_t>> CardinalityImplicationEngine::TightestMax(
     std::uint64_t search_limit) const {
-  CRSAT_ASSIGN_OR_RETURN(bool satisfiable, IsBaseClassSatisfiable());
-  if (!satisfiable) {
-    return InvalidArgumentError(
-        "class '" + extended_schema_->ClassName(base_class_) +
-        "' is unsatisfiable; every cardinality bound is vacuously implied");
-  }
+  CRSAT_RETURN_IF_ERROR(RequireSatisfiableBaseClass());
   CRSAT_ASSIGN_OR_RETURN(bool implied_at_limit, ImpliesMax(search_limit));
   if (!implied_at_limit) {
     return std::optional<std::uint64_t>();  // No bound up to the limit.

@@ -7,7 +7,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/base/mutex.h"
 #include "src/base/result.h"
 #include "src/cr/schema.h"
 #include "src/expansion/expansion.h"
@@ -40,27 +39,25 @@ ImplicationStats& GetImplicationStats();
 /// `m' >= m`; a refuted `maxc <= n` refutes every `n' <= n`). Four stored
 /// frontiers answer every dominated query without an LP solve. Recorded
 /// facts must be sound (true implication verdicts, or declared-bound seeds
-/// that hold in every model): then the cache is schedule-independent —
-/// whichever concurrent probe records first, every answer equals the LP's.
-/// Thread-safe; `CheckAllPartial` probes share one instance.
+/// that hold in every model): then every answer equals the LP's.
+/// Thread-compatible, like the engine that owns it.
 class BoundDominanceCache {
  public:
   /// The cached verdict for `S |= minc = min`, or nullopt if undominated.
-  std::optional<bool> LookupMin(std::uint64_t min);
+  std::optional<bool> LookupMin(std::uint64_t min) const;
   /// Records an LP verdict for `minc = min`.
   void RecordMin(std::uint64_t min, bool implied);
   /// The cached verdict for `S |= maxc = max`, or nullopt if undominated.
-  std::optional<bool> LookupMax(std::uint64_t max);
+  std::optional<bool> LookupMax(std::uint64_t max) const;
   /// Records an LP verdict for `maxc = max`.
   void RecordMax(std::uint64_t max, bool implied);
 
  private:
-  Mutex mutex_;
   // Frontiers; the gaps between them are the undecided band.
-  std::uint64_t greatest_implied_min_ CRSAT_GUARDED_BY(mutex_) = 0;
-  std::optional<std::uint64_t> least_refuted_min_ CRSAT_GUARDED_BY(mutex_);
-  std::optional<std::uint64_t> least_implied_max_ CRSAT_GUARDED_BY(mutex_);
-  std::optional<std::uint64_t> greatest_refuted_max_ CRSAT_GUARDED_BY(mutex_);
+  std::uint64_t greatest_implied_min_ = 0;
+  std::optional<std::uint64_t> least_refuted_min_;
+  std::optional<std::uint64_t> least_implied_max_;
+  std::optional<std::uint64_t> greatest_refuted_max_;
 };
 
 /// One cardinality-implication question against an engine's triple: does
@@ -96,6 +93,11 @@ struct ImplicationVerdict {
 /// the (cheap) disequation system per probe, via `CardinalityOverride`.
 /// Gallop/bisection queries (`ImplicationChecker::TightestImplied{Min,Max}`)
 /// and repair search go through here.
+///
+/// Thread-compatible, like `SatisfiabilityChecker`: queries mutate the
+/// engine's warm-start carry, dominance memo and base-class verdict, so
+/// one engine serves one thread at a time. Its work does not depend on the
+/// pool size.
 class CardinalityImplicationEngine {
  public:
   /// Validates the triple (role must belong to `rel`, `cls` must be a
@@ -111,12 +113,10 @@ class CardinalityImplicationEngine {
   /// True iff `S |= maxc(cls, rel, role) = max`.
   Result<bool> ImpliesMax(std::uint64_t max) const;
 
-  /// Batched form: answers every query, fanning the (mutually independent)
-  /// satisfiability probes across the global thread pool. Each probe
-  /// re-derives only the cheap disequation system against the shared
-  /// expansion, so the batch scales near-linearly with cores. Verdicts are
-  /// returned in query order and are identical to issuing the queries
-  /// serially; on any probe error the first error (in query order) is
+  /// Batched form: answers every query in order, as `ImpliesMin` /
+  /// `ImpliesMax` would one at a time. Every query is the same LP with one
+  /// override row changed, so each warm starts from the previous one's
+  /// basis. On any probe error the first error (in query order) is
   /// returned.
   Result<std::vector<bool>> CheckAll(
       const std::vector<ImplicationQuery>& queries) const;
@@ -124,16 +124,17 @@ class CardinalityImplicationEngine {
   /// Resource-aware batched form. Like `CheckAll`, but when the engine's
   /// expansion carries a `ResourceGuard` (see `ExpansionOptions::guard`)
   /// and it trips mid-batch, the call *succeeds* and reports per-query
-  /// verdicts: queries whose probes finished before the trip keep their
-  /// definite answers; unfinished ones come back `kUnknown` with the
-  /// tripped limit as `reason`. Genuine (non-resource) probe errors still
-  /// fail the whole call with the first error in query order. Definite
-  /// verdicts are identical to `CheckAll`'s at any thread count.
+  /// verdicts: queries answered before the trip keep their definite
+  /// answers; the rest come back `kUnknown` with the tripped limit as
+  /// `reason`. The guard is polled before each query, so a trip stops
+  /// even the queries that need no LP. Genuine (non-resource) probe errors
+  /// still fail the whole call with the first error in query order.
   Result<std::vector<ImplicationVerdict>> CheckAllPartial(
       const std::vector<ImplicationQuery>& queries) const;
 
   /// True iff `cls` itself is satisfiable in the base schema (bounds are
-  /// vacuously implied otherwise).
+  /// vacuously implied otherwise). Computed once per engine; a
+  /// resource-limit failure is returned but not remembered.
   Result<bool> IsBaseClassSatisfiable() const;
 
   /// Largest implied minimum (see `ImplicationChecker::TightestImpliedMin`;
@@ -147,20 +148,16 @@ class CardinalityImplicationEngine {
  private:
   CardinalityImplicationEngine() = default;
 
-  // Satisfiability of Cexc under an override bound on it. `cache` threads
-  // warm-start bases between probes: successive probes alternate between a
-  // handful of system shapes (only the overridden bound's coefficients
-  // change within a shape), so a previous probe's optimal basis is reused
-  // as-is or dual-repaired instead of a cold phase 1. Serial queries pass
-  // `&carry_cache_`; `CheckAll` gives each concurrent probe a private copy
-  // of the current cache so verdicts stay independent of scheduling.
-  Result<bool> AuxiliarySatisfiableWith(Cardinality cardinality,
-                                        WarmStartBasisCache* cache) const;
+  // Satisfiability of Cexc under an override bound on it. Successive
+  // probes alternate between a handful of system shapes (only the
+  // overridden bound's coefficients change within a shape), so
+  // `carry_cache_` reuses a previous probe's optimal basis as-is or
+  // dual-repaired instead of a cold phase 1.
+  Result<bool> AuxiliarySatisfiable(Cardinality cardinality) const;
 
-  Result<bool> ImpliesMinWith(std::uint64_t min,
-                              WarmStartBasisCache* cache) const;
-  Result<bool> ImpliesMaxWith(std::uint64_t max,
-                              WarmStartBasisCache* cache) const;
+  // Fails with the `InvalidArgument` the tightest-bound searches report
+  // when `cls` is unsatisfiable.
+  Status RequireSatisfiableBaseClass() const;
 
   // The extended schema and its expansion; unique_ptr keeps the expansion's
   // schema pointer stable across moves.
@@ -172,16 +169,15 @@ class CardinalityImplicationEngine {
   RoleId role_;
   std::vector<int> aux_targets_;   // Compound classes containing Cexc.
   std::vector<int> base_targets_;  // Compound classes containing cls.
-  // Warm-start bases carried across this engine's serial probes (gallop /
-  // bisection). Queries on one engine are not safe to issue concurrently
-  // from outside — use `CheckAll` for that; it snapshots this cache.
+  // Warm-start bases carried across this engine's probes.
   mutable WarmStartBasisCache carry_cache_;
-  // The triple's dominance memo, shared by serial and batched probes
-  // (thread-safe; behind unique_ptr so the engine stays movable). Seeded
-  // in `Create` from the declared bounds of `cls`'s superclasses — sound,
-  // since declared constraints hold in every model. Consulted only while
+  // The triple's dominance memo. Seeded in `Create` from the declared
+  // bounds of `cls`'s superclasses — sound, since declared constraints
+  // hold in every model. Consulted only while
   // `IncrementalReasoningEnabled()`.
-  std::unique_ptr<BoundDominanceCache> dominance_;
+  mutable BoundDominanceCache dominance_;
+  // `IsBaseClassSatisfiable`'s definite verdict, once known.
+  mutable std::optional<bool> base_satisfiable_;
 };
 
 }  // namespace crsat

@@ -1,4 +1,8 @@
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +74,21 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> result(std::string("payload"));
   std::string value = std::move(result).value();
   EXPECT_EQ(value, "payload");
+}
+
+// The rvalue overload returns by value, so a range-for over `f().value()`
+// owns its range instead of reading the destroyed temporary `Result`.
+static_assert(
+    std::is_same_v<decltype(std::declval<Result<std::string>>().value()),
+                   std::string>);
+
+TEST(ResultTest, RangeForOverTemporaryValueOwnsItsRange) {
+  auto make = [] { return Result<std::vector<int>>(std::vector<int>{1, 2}); };
+  int sum = 0;
+  for (int x : make().value()) {
+    sum += x;
+  }
+  EXPECT_EQ(sum, 3);
 }
 
 TEST(ResultTest, AssignOrReturnMacro) {

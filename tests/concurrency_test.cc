@@ -135,27 +135,40 @@ TEST(ConcurrencyTest, CheckAllMatchesSerialQueriesAtAnyThreadCount) {
     queries.push_back({ImplicationQuery::Kind::kMax, bound});
   }
 
-  // Serial reference: fresh engine, one query at a time.
+  // Serial reference: fresh engine, one query at a time. The batch must
+  // match its verdicts and also its LP work, at every pool size.
+  SimplexStats& stats = GetSimplexStats();
   SetGlobalThreadCount(1);
   std::vector<bool> serial;
+  std::uint64_t serial_solves = 0;
+  std::uint64_t serial_pivots = 0;
   {
     CardinalityImplicationEngine engine =
         CardinalityImplicationEngine::Create(schema, cls, rel, role).value();
+    stats.Reset();
     for (const ImplicationQuery& query : queries) {
       bool verdict = query.kind == ImplicationQuery::Kind::kMin
                          ? engine.ImpliesMin(query.bound).value()
                          : engine.ImpliesMax(query.bound).value();
       serial.push_back(verdict);
     }
+    serial_solves = stats.solves.load();
+    serial_pivots = stats.pivots.load();
   }
+  EXPECT_GT(serial_solves, 0u);
 
   for (int threads : kThreadCounts) {
     SetGlobalThreadCount(threads);
     CardinalityImplicationEngine engine =
         CardinalityImplicationEngine::Create(schema, cls, rel, role).value();
+    stats.Reset();
     std::vector<bool> batched = engine.CheckAll(queries).value();
     EXPECT_EQ(batched, serial) << "CheckAll diverges at " << threads
                                << " threads";
+    EXPECT_EQ(stats.solves.load(), serial_solves)
+        << "CheckAll solves differ at " << threads << " threads";
+    EXPECT_EQ(stats.pivots.load(), serial_pivots)
+        << "CheckAll pivots differ at " << threads << " threads";
     // A second batch on the same engine (now carrying a warm basis) must
     // agree too.
     EXPECT_EQ(engine.CheckAll(queries).value(), serial)

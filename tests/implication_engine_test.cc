@@ -1,7 +1,13 @@
 #include "src/reasoner/implication_engine.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/base/failpoint.h"
+#include "src/base/resource_guard.h"
+#include "src/lp/simplex.h"
 #include "src/reasoner/implication.h"
 #include "src/reasoner/satisfiability.h"
 #include "tests/test_schemas.h"
@@ -73,6 +79,119 @@ TEST(CardinalityImplicationEngineTest, UnsatisfiableBaseClassReported) {
   // Vacuous implication still answers.
   EXPECT_TRUE(engine.ImpliesMin(100).value());
   EXPECT_TRUE(engine.ImpliesMax(0).value());
+}
+
+TEST(CardinalityImplicationEngineTest, BaseClassCheckedOncePerEngine) {
+  Schema schema = MeetingSchema();
+  ClassId speaker = schema.FindClass("Speaker").value();
+  RelationshipId holds = schema.FindRelationship("Holds").value();
+  RoleId u1 = schema.FindRole("U1").value();
+  SimplexStats& stats = GetSimplexStats();
+  auto make_engine = [&] {
+    return CardinalityImplicationEngine::Create(schema, speaker, holds, u1)
+        .value();
+  };
+
+  CardinalityImplicationEngine engine = make_engine();
+  stats.Reset();
+  EXPECT_TRUE(engine.IsBaseClassSatisfiable().value());
+  const std::uint64_t base_solves = stats.solves.load();
+  EXPECT_GT(base_solves, 0u);
+  EXPECT_TRUE(engine.IsBaseClassSatisfiable().value());
+  EXPECT_EQ(stats.solves.load(), base_solves) << "base check repeated";
+
+  // The report row's sequence (base check, then both searches) costs the
+  // searches' probes plus one base check: the searches alone also pay one.
+  CardinalityImplicationEngine row_engine = make_engine();
+  stats.Reset();
+  EXPECT_TRUE(row_engine.IsBaseClassSatisfiable().value());
+  EXPECT_EQ(row_engine.TightestMin().value(), 1u);
+  EXPECT_EQ(row_engine.TightestMax().value(),
+            std::optional<std::uint64_t>(1));
+  const std::uint64_t row_solves = stats.solves.load();
+  CardinalityImplicationEngine search_engine = make_engine();
+  stats.Reset();
+  EXPECT_EQ(search_engine.TightestMin().value(), 1u);
+  EXPECT_EQ(search_engine.TightestMax().value(),
+            std::optional<std::uint64_t>(1));
+  EXPECT_EQ(stats.solves.load(), row_solves);
+}
+
+TEST(CardinalityImplicationEngineTest, BaseClassFailureIsNotCached) {
+  Schema schema = MeetingSchema();
+  ClassId speaker = schema.FindClass("Speaker").value();
+  RelationshipId holds = schema.FindRelationship("Holds").value();
+  RoleId u1 = schema.FindRole("U1").value();
+
+  // A transient failure (a simulated allocation failure in the first
+  // solve) is returned, and the next call computes the verdict afresh.
+  {
+    CardinalityImplicationEngine engine =
+        CardinalityImplicationEngine::Create(schema, speaker, holds, u1)
+            .value();
+    {
+      ScopedFailpoint alloc("alloc/simplex", /*nth=*/1);
+      ASSERT_TRUE(alloc.status().ok());
+      Result<bool> failed = engine.IsBaseClassSatisfiable();
+      ASSERT_FALSE(failed.ok());
+      EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+    }
+    EXPECT_TRUE(engine.IsBaseClassSatisfiable().value());
+  }
+
+  // A guard tripped during the first check is reported again by every
+  // later call, the searches included.
+  ResourceGuard guard;
+  ExpansionOptions options;
+  options.guard = &guard;
+  CardinalityImplicationEngine engine =
+      CardinalityImplicationEngine::Create(schema, speaker, holds, u1,
+                                           options)
+          .value();
+  guard.RequestCancel();
+  for (int call = 0; call < 2; ++call) {
+    Result<bool> tripped = engine.IsBaseClassSatisfiable();
+    ASSERT_FALSE(tripped.ok()) << "call " << call;
+    EXPECT_EQ(tripped.status().code(), StatusCode::kCancelled);
+  }
+  EXPECT_EQ(engine.TightestMin().status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(engine.TightestMax().status().code(), StatusCode::kCancelled);
+}
+
+TEST(CardinalityImplicationEngineTest, CheckAllWarmStartsFromPreviousQuery) {
+  // Depth-3 ISA chain with cardinality pressure along R: the probed
+  // bounds sit strictly between the declared ones, so no query is
+  // answered by the dominance memo and each one solves an LP.
+  SchemaBuilder builder;
+  builder.AddClass("C0");
+  builder.AddClass("C1");
+  builder.AddClass("C2");
+  builder.AddIsa("C0", "C1");
+  builder.AddIsa("C1", "C2");
+  builder.AddClass("T");
+  builder.AddRelationship("R", {{"U", "C2"}, {"V", "T"}});
+  builder.SetCardinality("C2", "R", "U", {1, 8});
+  builder.SetCardinality("C0", "R", "U", {2, 3});
+  builder.SetCardinality("T", "R", "V", {1, 1});
+  Schema schema = builder.Build().value();
+  CardinalityImplicationEngine engine =
+      CardinalityImplicationEngine::Create(
+          schema, schema.FindClass("C1").value(),
+          schema.FindRelationship("R").value(), schema.FindRole("U").value())
+          .value();
+  SimplexStats& stats = GetSimplexStats();
+  stats.Reset();
+  GetImplicationStats().Reset();
+  std::vector<bool> verdicts =
+      engine
+          .CheckAll({{ImplicationQuery::Kind::kMax, 3},
+                     {ImplicationQuery::Kind::kMax, 5},
+                     {ImplicationQuery::Kind::kMin, 2}})
+          .value();
+  EXPECT_EQ(verdicts, (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(GetImplicationStats().dominance_hits.load(), 0u);
+  EXPECT_GE(stats.solves.load(), 3u);
+  EXPECT_GT(stats.warm_start_hits.load(), 0u);
 }
 
 TEST(ImpliedCardinalityReportTest, MeetingReportMatchesFigure7) {

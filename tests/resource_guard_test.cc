@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/failpoint.h"
 #include "src/base/thread_pool.h"
 #include "src/cr/schema_text.h"
 #include "src/cr/text_lexer.h"
@@ -359,6 +360,73 @@ TEST(ResourceGuardImplicationTest, CheckAllPartialMatchesCheckAllUntripped) {
     EXPECT_EQ(partial[i].implied(), strict[i]) << "query " << i;
     EXPECT_EQ(partial[i].reason, StatusCode::kOk) << "query " << i;
   }
+}
+
+TEST(ResourceGuardImplicationTest, MidBatchTripKeepsAnsweredPrefix) {
+  ThreadCountRestorer restore;
+  Schema schema = MeetingSchema();
+  ClassId speaker = schema.FindClass("Speaker").value();
+  RelationshipId holds = schema.FindRelationship("Holds").value();
+  RoleId u1 = schema.FindRole("U1").value();
+  std::vector<ImplicationQuery> queries;
+  for (std::uint64_t bound = 0; bound <= 4; ++bound) {
+    queries.push_back({ImplicationQuery::Kind::kMin, bound});
+    queries.push_back({ImplicationQuery::Kind::kMax, bound});
+  }
+  const std::vector<bool> reference =
+      CardinalityImplicationEngine::Create(schema, speaker, holds, u1)
+          .value()
+          .CheckAll(queries)
+          .value();
+
+  // Trips the guard on its `nth` poll after the engine is built and
+  // returns how many leading queries kept a definite verdict.
+  auto answered_prefix = [&](std::uint64_t nth) -> size_t {
+    ResourceGuard guard;
+    ExpansionOptions options;
+    options.guard = &guard;
+    CardinalityImplicationEngine engine =
+        CardinalityImplicationEngine::Create(schema, speaker, holds, u1,
+                                             options)
+            .value();
+    ScopedFailpoint trip("guard/trip", nth);
+    EXPECT_TRUE(trip.status().ok());
+    std::vector<ImplicationVerdict> verdicts =
+        engine.CheckAllPartial(queries).value();
+    size_t prefix = 0;
+    while (prefix < verdicts.size() && verdicts[prefix].known()) {
+      EXPECT_EQ(verdicts[prefix].implied(), reference[prefix])
+          << "nth=" << nth << " query " << prefix;
+      ++prefix;
+    }
+    for (size_t i = prefix; i < verdicts.size(); ++i) {
+      EXPECT_FALSE(verdicts[i].known()) << "nth=" << nth << " query " << i;
+      EXPECT_EQ(verdicts[i].reason, StatusCode::kResourceExhausted)
+          << "nth=" << nth << " query " << i;
+    }
+    return prefix;
+  };
+
+  // The first poll precedes the first query, so nothing is answered.
+  SetGlobalThreadCount(1);
+  EXPECT_EQ(answered_prefix(1), 0u);
+  // Later trips leave a prefix that grows with `nth`, reaches mid-batch,
+  // and is the same at every pool size.
+  size_t previous = 0;
+  bool mid_batch = false;
+  for (std::uint64_t nth = 2; nth <= 64; ++nth) {
+    SetGlobalThreadCount(1);
+    const size_t prefix = answered_prefix(nth);
+    EXPECT_GE(prefix, previous) << "nth=" << nth;
+    previous = prefix;
+    mid_batch = mid_batch || (prefix > 0 && prefix < queries.size());
+    for (int threads : {2, 8}) {
+      SetGlobalThreadCount(threads);
+      EXPECT_EQ(answered_prefix(nth), prefix)
+          << "nth=" << nth << " threads=" << threads;
+    }
+  }
+  EXPECT_TRUE(mid_batch);
 }
 
 // ---------------------------------------------------------------------------
