@@ -71,6 +71,7 @@ crsat::Schema ChainSchema(int depth) {
 struct StatsSnapshot {
   std::uint64_t solves = 0;
   std::uint64_t pivots = 0;
+  std::uint64_t basis_pivots = 0;
   std::uint64_t phase1_pivots = 0;
   std::uint64_t fast_solves = 0;
   std::uint64_t fast_pivots = 0;
@@ -91,6 +92,7 @@ struct StatsSnapshot {
     StatsSnapshot snapshot;
     snapshot.solves = stats.solves.load();
     snapshot.pivots = stats.pivots.load();
+    snapshot.basis_pivots = stats.basis_pivots.load();
     snapshot.phase1_pivots = stats.phase1_pivots.load();
     snapshot.fast_solves = stats.fast_solves.load();
     snapshot.fast_pivots = stats.fast_pivots.load();
@@ -251,6 +253,7 @@ std::string ToJson(const std::vector<Workload>& workloads,
           << ", \"speedup_vs_1\": " << speedup
           << ", \"solves\": " << stats.solves
           << ", \"pivots\": " << stats.pivots
+          << ", \"basis_pivots\": " << stats.basis_pivots
           << ", \"phase1_pivots\": " << stats.phase1_pivots
           << ", \"fast_pivot_fraction\": " << fast_fraction
           << ", \"tier_fallback_rate\": " << fallback_rate
@@ -561,6 +564,7 @@ int main(int argc, char** argv) {
                 << "  wall_ms=" << timing.wall_ms
                 << "  speedup=" << (timing.wall_ms > 0 ? base_ms / timing.wall_ms : 1.0)
                 << "  solves=" << stats.solves << "  pivots=" << stats.pivots
+                << "  basis_pivots=" << stats.basis_pivots
                 << "  fast_pivots=" << stats.fast_pivots
                 << "  fallbacks=" << stats.tier_fallbacks
                 << "  warm_hits=" << stats.warm_start_hits

@@ -3,18 +3,22 @@
 // is a standalone binary: it starts an in-process daemon on a loopback
 // port, drives a mixed request workload (parse / check / lint /
 // implications / witness) from several client-concurrency levels, and
-// reports sustained request throughput plus p50/p99 latency. Every
-// response is cross-checked against a reference captured single-file up
-// front — a verdict mismatch or protocol error exits non-zero, so CI
-// can gate on "the service never changes an answer under concurrency".
+// reports sustained request throughput plus p50/p99 latency. Every client
+// cycles through all three example schemas (parse, then the request mix,
+// then the next schema), so each row mixes the same schemas. Every
+// response is cross-checked against a reference computed up front by a
+// fresh one-shot `commands::` call per request, never by a session, so a
+// stale or order-dependent session analysis cannot match itself. A
+// mismatch or protocol error exits non-zero, so CI can gate on "the
+// service never changes an answer under concurrency".
 // With `--json <path>` it writes the BENCH_server.json shape committed
 // at the repo root (gated by tools/bench_check.py --mode server).
 //
 // Usage:
 //   bench_server [--json <path>] [--requests N] [--threads N]
 //
-// `--requests` is the per-client request count (default 120); CI's
-// bench-smoke job passes a small value.
+// `--requests` is the per-client request count, parses included
+// (default 120); CI's bench-smoke job passes a small value.
 
 #include <algorithm>
 #include <atomic>
@@ -32,6 +36,7 @@
 
 #include "src/crsat.h"
 #include "src/server/client.h"
+#include "src/server/handlers.h"
 #include "src/server/server.h"
 
 #ifndef CRSAT_SOURCE_DIR
@@ -55,16 +60,22 @@ struct SchemaFile {
   std::string name;
   std::string path;
   std::string text;
+  std::string isa_query;  // The mix's `implications` payload.
 };
 
 std::vector<SchemaFile> LoadSchemas() {
   const std::string base =
       std::string(CRSAT_SOURCE_DIR) + "/examples/schemas/";
   std::vector<SchemaFile> schemas;
-  for (const char* name : {"university.cr", "figure1.cr", "meeting.cr"}) {
+  for (const auto& [name, isa_query] :
+       {std::pair<const char*, const char*>{"university.cr",
+                                            "isa PhDStudent Person"},
+        {"figure1.cr", "isa D C"},
+        {"meeting.cr", "isa Speaker Discussant"}}) {
     SchemaFile file;
     file.name = name;
     file.path = base + name;
+    file.isa_query = isa_query;
     std::ifstream in(file.path, std::ios::binary);
     if (!in) {
       std::cerr << "cannot open " << file.path << "\n";
@@ -78,22 +89,64 @@ std::vector<SchemaFile> LoadSchemas() {
   return schemas;
 }
 
-// The per-connection request mix, cycled by request index. `witness` is
-// the expensive tail; the light probes around it are what the fair
-// queueing keeps responsive.
+// The request mix sent after each parse. `witness` is the expensive
+// tail; the light probes around it are what the fair queueing keeps
+// responsive. A null payload stands for the schema's `isa_query`.
 struct Step {
   RequestType type;
   const char* payload;
 };
 constexpr Step kMix[] = {
-    {RequestType::kCheck, ""},        {RequestType::kLint, ""},
-    {RequestType::kImplications, "isa D C"},
+    {RequestType::kParse, ""},        {RequestType::kCheck, ""},
+    {RequestType::kLint, ""},         {RequestType::kImplications, nullptr},
     {RequestType::kCheck, ""},        {RequestType::kLint, "json"},
     {RequestType::kWitness, "text"},
 };
+constexpr int kMixSize = static_cast<int>(sizeof(kMix) / sizeof(kMix[0]));
+
+std::string Payload(const SchemaFile& schema, int step) {
+  if (kMix[step].type == RequestType::kParse) {
+    return schema.path + "\n" + schema.text;
+  }
+  return kMix[step].payload != nullptr ? kMix[step].payload
+                                       : schema.isa_query;
+}
 
 std::string MixKey(const std::string& schema, int step) {
   return schema + "#" + std::to_string(step);
+}
+
+// The reply a one-shot invocation gives for `step` on `schema`: the
+// `commands::` verb on a fresh analysis, mapped as crsatd maps it. A
+// parse touches no analysis, so it runs on a fresh session.
+Reply OneShotReply(const SchemaFile& schema, const crsat::NamedSchema& parsed,
+                   int step) {
+  const std::string payload = Payload(schema, step);
+  crsat::commands::Analysis analysis(parsed.schema);
+  crsat::server::HandlerResult result;
+  switch (kMix[step].type) {
+    case RequestType::kCheck:
+    case RequestType::kWitness:
+      result = crsat::server::FromCommand(crsat::commands::Check(
+          parsed, analysis, /*json=*/false, payload, /*guard=*/nullptr));
+      break;
+    case RequestType::kLint:
+      result = crsat::server::FromCommand(crsat::commands::Lint(
+          schema.path, schema.text, payload == "json", /*guard=*/nullptr));
+      break;
+    case RequestType::kImplications:
+      result = crsat::server::FromCommand(
+          crsat::commands::Implies(analysis, payload, /*guard=*/nullptr));
+      break;
+    default: {
+      crsat::server::Session session(0);
+      result = crsat::server::HandleRequest(
+          session, crsat::server::MakeRequest(kMix[step].type, payload),
+          crsat::ResourceLimits());
+      break;
+    }
+  }
+  return Reply{result.status, std::move(result.payload)};
 }
 
 struct RunResult {
@@ -107,10 +160,11 @@ struct RunResult {
   std::uint64_t mismatches = 0;
 };
 
-// One client connection working through `requests` mixed requests
-// against its schema, recording per-request latency and comparing every
-// payload against the reference map.
-void DriveClient(int port, const SchemaFile& schema, int requests,
+// One client connection working through `requests` requests: the mix on
+// each schema in turn, starting at `first_schema`. Records per-request
+// latency and compares every payload against the reference map.
+void DriveClient(int port, const std::vector<SchemaFile>& schemas,
+                 std::size_t first_schema, int requests,
                  const std::map<std::string, Reply>& reference,
                  std::vector<double>* latencies_out,
                  std::uint64_t* protocol_errors_out,
@@ -123,16 +177,13 @@ void DriveClient(int port, const SchemaFile& schema, int requests,
     *protocol_errors_out = 1;
     return;
   }
-  auto parsed = client.Parse(schema.path, schema.text);
-  if (!parsed.ok() || parsed->status != ResponseStatus::kOk) {
-    *protocol_errors_out = 1;
-    return;
-  }
-  constexpr int kMixSize = static_cast<int>(sizeof(kMix) / sizeof(kMix[0]));
   for (int i = 0; i < requests; ++i) {
     const int step = i % kMixSize;
+    const SchemaFile& schema =
+        schemas[(first_schema + static_cast<std::size_t>(i / kMixSize)) %
+                schemas.size()];
     const Clock::time_point start = Clock::now();
-    auto reply = client.Call(kMix[step].type, kMix[step].payload);
+    auto reply = client.Call(kMix[step].type, Payload(schema, step));
     const double elapsed = MillisSince(start);
     if (!reply.ok()) {
       ++protocol_errors;
@@ -173,8 +224,9 @@ RunResult RunAtConcurrency(int port, const std::vector<SchemaFile>& schemas,
   workers.reserve(clients);
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c] {
-      DriveClient(port, schemas[c % schemas.size()], requests, reference,
-                  &latencies[c], &protocol_errors[c], &mismatches[c]);
+      DriveClient(port, schemas, static_cast<std::size_t>(c), requests,
+                  reference, &latencies[c], &protocol_errors[c],
+                  &mismatches[c]);
     });
   }
   for (std::thread& worker : workers) {
@@ -235,29 +287,18 @@ int main(int argc, char** argv) {
             << crsat::GlobalThreadCount() << "), " << requests
             << " requests/client\n";
 
-  // Reference pass: one request of each (schema, mix step), single-file.
+  // References: one fresh one-shot reply per (schema, mix step).
   // Everything the concurrency sweeps produce must match these bytes.
   std::map<std::string, Reply> reference;
   for (const SchemaFile& schema : schemas) {
-    Client client;
-    if (!client.ConnectTcp(daemon.port()).ok()) {
-      std::cerr << "reference connect failed\n";
-      return 2;
-    }
-    auto parsed = client.Parse(schema.path, schema.text);
+    crsat::Result<crsat::NamedSchema> parsed = crsat::ParseSchema(schema.text);
     if (!parsed.ok()) {
-      std::cerr << "reference parse failed\n";
+      std::cerr << schema.name << ": " << parsed.status().ToString() << "\n";
       return 2;
     }
-    constexpr int kMixSize = static_cast<int>(sizeof(kMix) / sizeof(kMix[0]));
     for (int step = 0; step < kMixSize; ++step) {
-      auto reply = client.Call(kMix[step].type, kMix[step].payload);
-      if (!reply.ok()) {
-        std::cerr << "reference request failed: "
-                  << reply.status().ToString() << "\n";
-        return 2;
-      }
-      reference[MixKey(schema.name, step)] = *reply;
+      reference[MixKey(schema.name, step)] =
+          OneShotReply(schema, *parsed, step);
     }
   }
 
@@ -287,6 +328,9 @@ int main(int argc, char** argv) {
     std::ofstream out(json_path);
     out << "{\n  \"bench\": \"bench_server\",\n"
         << "  \"requests_per_client\": " << requests << ",\n"
+        << "  \"mix\": \"every client cycles university.cr, figure1.cr, "
+           "meeting.cr (parse, check, lint, implications isa, check, lint "
+           "json, witness text), starting at a different schema\",\n"
         << "  \"workloads\": [\n    {\n      \"name\": \"mixed_loopback\",\n"
         << "      \"runs\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {

@@ -924,7 +924,8 @@ int RealMain(int argc, char** argv) {
       }
       return RunSaturationCheck(*parsed, json, guard_flags.Guard());
     }
-    return Print(crsat::commands::Check(*parsed, json, witness_mode,
+    crsat::commands::Analysis analysis(schema);
+    return Print(crsat::commands::Check(*parsed, analysis, json, witness_mode,
                                         guard_flags.Guard()));
   }
   if (command == "expand") {
@@ -955,7 +956,8 @@ int RealMain(int argc, char** argv) {
     return RunDebug(schema, argv[3]);
   }
   if (command == "implies") {
-    return Print(crsat::commands::Implies(schema, JoinArgs(3, argc, argv),
+    crsat::commands::Analysis analysis(schema);
+    return Print(crsat::commands::Implies(analysis, JoinArgs(3, argc, argv),
                                           /*guard=*/nullptr));
   }
   if (command == "checkstate" && argc == 4) {

@@ -87,7 +87,7 @@ int main() {
 
   std::cout << "\nImplied constraints (Figure 7):\n";
   std::cout << "  Speaker <= Discussant: "
-            << (crsat::ImplicationChecker::ImpliesIsa(schema, speaker,
+            << (crsat::ImplicationChecker::ImpliesIsa(checker, speaker,
                                                       discussant)
                         .value()
                     ? "implied"

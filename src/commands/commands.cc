@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/analysis/diagnostics.h"
-#include "src/analysis/empty_classes.h"
 #include "src/analysis/lint_engine.h"
 #include "src/base/degradation.h"
 #include "src/base/json.h"
@@ -68,6 +67,7 @@ std::string SolverStatsJson() {
   const SimplexStats& stats = GetSimplexStats();
   return "{\"solves\": " + Load(stats.solves) +
          ", \"pivots\": " + Load(stats.pivots) +
+         ", \"basis_pivots\": " + Load(stats.basis_pivots) +
          ", \"phase1_pivots\": " + Load(stats.phase1_pivots) +
          ", \"fast_solves\": " + Load(stats.fast_solves) +
          ", \"fast_pivots\": " + Load(stats.fast_pivots) +
@@ -105,7 +105,7 @@ bool IsWitnessMode(std::string_view mode) {
   return mode == "text" || mode == "json" || mode == "dot";
 }
 
-CommandResult Check(const NamedSchema& parsed, bool json,
+CommandResult Check(const NamedSchema& parsed, Analysis& analysis, bool json,
                     std::string_view witness_mode, ResourceGuard* guard) {
   const Schema& schema = parsed.schema;
   // ISA-free schemas skip the expansion pipeline entirely: the
@@ -114,30 +114,21 @@ CommandResult Check(const NamedSchema& parsed, bool json,
   // only applies to plain checks.
   std::optional<std::vector<bool>> satisfiable;
   if (witness_mode.empty()) {
-    Result<std::optional<std::vector<bool>>> fast =
-        TryLnSatisfiableClasses(schema);
+    Result<const std::vector<bool>*> fast = analysis.FastVerdicts();
     if (!fast.ok()) {
       return Failure(fast.status(), guard, json);
     }
-    satisfiable = std::move(fast.value());
+    if (*fast != nullptr) {
+      satisfiable = **fast;
+    }
   }
-  std::optional<Expansion> expansion;
-  std::optional<SatisfiabilityChecker> checker;
-  // Structural emptiness facts feed both the expansion's compound pruning
-  // and the checker's per-class short-circuit.
-  std::vector<bool> known_empty;
+  const SatisfiabilityChecker* checker = nullptr;
   if (!satisfiable.has_value()) {
-    known_empty = ComputeProvablyEmpty(schema).class_empty;
-    ExpansionOptions options;
-    options.guard = guard;
-    options.known_empty_classes = &known_empty;
-    Result<Expansion> built = Expansion::Build(schema, options);
+    Result<const SatisfiabilityChecker*> built = analysis.Checker(guard);
     if (!built.ok()) {
       return Failure(built.status(), guard, json);
     }
-    expansion.emplace(std::move(built.value()));
-    checker.emplace(*expansion);
-    checker->SetKnownEmptyClasses(known_empty);
+    checker = *built;
     Result<std::vector<bool>> verdicts = checker->SatisfiableClasses();
     if (!verdicts.ok()) {
       return Failure(verdicts.status(), guard, json);
@@ -290,8 +281,9 @@ CommandResult Lint(const std::string& display_name,
   return {exit_code, out.str(), ""};
 }
 
-CommandResult Implies(const Schema& schema, std::string_view words,
+CommandResult Implies(Analysis& analysis, std::string_view words,
                       ResourceGuard* guard) {
+  const Schema& schema = analysis.schema();
   std::vector<std::string> args;
   std::istringstream in{std::string(words)};
   for (std::string word; in >> word;) {
@@ -310,16 +302,18 @@ CommandResult Implies(const Schema& schema, std::string_view words,
   if (!cls.has_value()) {
     return bad_request("no class named '" + args[1] + "'");
   }
-  ExpansionOptions options;
-  options.guard = guard;
   std::ostringstream out;
   if (isa) {
     const std::optional<ClassId> super = schema.FindClass(args[2]);
     if (!super.has_value()) {
       return bad_request("no class named '" + args[2] + "'");
     }
+    Result<const SatisfiabilityChecker*> checker = analysis.Checker(guard);
+    if (!checker.ok()) {
+      return QueryFailure(checker.status(), guard);
+    }
     Result<bool> implied =
-        ImplicationChecker::ImpliesIsa(schema, *cls, *super, options);
+        ImplicationChecker::ImpliesIsa(**checker, *cls, *super);
     if (!implied.ok()) {
       return QueryFailure(implied.status(), guard);
     }
@@ -336,6 +330,8 @@ CommandResult Implies(const Schema& schema, std::string_view words,
     return bad_request("no role named '" + args[3] + "'");
   }
   // One engine (one extended expansion) answers both bounds.
+  ExpansionOptions options;
+  options.guard = guard;
   Result<CardinalityImplicationEngine> engine =
       CardinalityImplicationEngine::Create(schema, *cls, *rel, *role, options);
   if (!engine.ok()) {

@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "src/base/resource_guard.h"
+#include "src/commands/analysis.h"
 #include "src/cr/schema.h"
 #include "src/cr/schema_text.h"
 
@@ -39,15 +40,16 @@ struct CommandResult {
 /// "text", "json" and "dot".
 bool IsWitnessMode(std::string_view mode);
 
-/// `check`: finite satisfiability of every class (Theorem 3.3). ISA-free
-/// schemas take the Lenzerini-Nobili fast path; everything else runs
-/// provably-empty analysis, the expansion and the LP checker under
-/// `guard` (may be null). A non-empty `witness_mode` (see
+/// `check`: finite satisfiability of every class (Theorem 3.3), read
+/// from `analysis`, which must be the analysis of `parsed.schema`.
+/// ISA-free schemas take the Lenzerini-Nobili fast path; everything else
+/// uses the analysis's checker, built under `guard` (may be null) unless
+/// an earlier request built it. A non-empty `witness_mode` (see
 /// `IsWitnessMode`) also synthesizes a certified finite model (§3.3,
-/// Figure 6); a resource limit tripped during synthesis keeps the verdict
-/// and its exit code and reports the trip in place of the witness.
-/// `json` selects the machine-readable report.
-CommandResult Check(const NamedSchema& parsed, bool json,
+/// Figure 6) under `guard`; a resource limit tripped during synthesis
+/// keeps the verdict and its exit code and reports the trip in place of
+/// the witness. `json` selects the machine-readable report.
+CommandResult Check(const NamedSchema& parsed, Analysis& analysis, bool json,
                     std::string_view witness_mode, ResourceGuard* guard);
 
 /// `lint`: structural diagnostics over `schema_text`, parsed leniently so
@@ -59,12 +61,14 @@ CommandResult Lint(const std::string& display_name,
                    std::string_view schema_text, bool json,
                    ResourceGuard* guard);
 
-/// `implies` (§4): `words` is "isa <Sub> <Super>" or
-/// "card <Class> <Rel> <Role>", whitespace-separated. A wrong word count,
+/// `implies` (§4) over `analysis.schema()`: `words` is
+/// "isa <Sub> <Super>" or "card <Class> <Rel> <Role>", whitespace-separated.
+/// `isa` is a lookup on the analysis's support; `card` runs its own
+/// engine, because it extends the schema with `Cexc`. A wrong word count,
 /// an unknown name, or a query the implication checker rejects as invalid
 /// for this schema is exit 2 with the reason on stderr. The query runs
 /// under `guard` (may be null); a trip is exit 3 with the trip report.
-CommandResult Implies(const Schema& schema, std::string_view words,
+CommandResult Implies(Analysis& analysis, std::string_view words,
                       ResourceGuard* guard);
 
 }  // namespace commands

@@ -47,6 +47,7 @@
 #include "src/base/json.h"
 #include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
+#include "src/commands/analysis.h"
 #include "src/commands/commands.h"
 #include "src/cr/interpretation.h"
 #include "src/cr/model_checker.h"

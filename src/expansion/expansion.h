@@ -105,6 +105,12 @@ class Expansion {
   const Schema& schema() const { return *schema_; }
   const ExpansionOptions& options() const { return options_; }
 
+  /// Forgets the guard the expansion was built under. An expansion kept
+  /// past the request that built it (crsatd's per-session analysis)
+  /// calls this, so no later reasoning over it can reach a destroyed
+  /// guard; each later consumer passes its own.
+  void DetachGuard() { options_.guard = nullptr; }
+
   /// Consistent compound classes, ascending by mask. Their position in
   /// this vector is their *class index*, used throughout the reasoner.
   const std::vector<CompoundClass>& classes() const { return classes_; }

@@ -16,6 +16,7 @@ namespace crsat {
 void SimplexStats::Reset() {
   solves.store(0, std::memory_order_relaxed);
   pivots.store(0, std::memory_order_relaxed);
+  basis_pivots.store(0, std::memory_order_relaxed);
   phase1_pivots.store(0, std::memory_order_relaxed);
   fast_solves.store(0, std::memory_order_relaxed);
   fast_pivots.store(0, std::memory_order_relaxed);
@@ -364,6 +365,7 @@ class Tableau {
       if (row < 0) {
         continue;  // Dependent on the columns already placed; skip it.
       }
+      ++basis_pivots_;
       Pivot(row, column);
       if (ScalarOps<Scalar>::Overflowed()) {
         return WarmStartOutcome::kRejected;
@@ -531,6 +533,7 @@ class Tableau {
   std::uint64_t pivots() const { return pivots_; }
   std::uint64_t phase1_pivots() const { return phase1_pivots_; }
   std::uint64_t dual_pivots() const { return dual_pivots_; }
+  std::uint64_t basis_pivots() const { return basis_pivots_; }
 
  private:
   static size_t OccupancyWords(const TableauLayout& layout) {
@@ -737,6 +740,7 @@ class Tableau {
         }
       }
       if (pivot_column >= 0) {
+        ++basis_pivots_;
         Pivot(static_cast<int>(i), pivot_column);
       } else {
         redundant[i] = true;
@@ -789,6 +793,7 @@ class Tableau {
   std::uint64_t pivots_ = 0;
   std::uint64_t phase1_pivots_ = 0;
   std::uint64_t dual_pivots_ = 0;
+  std::uint64_t basis_pivots_ = 0;
   // The m x num_columns cells, row-major in one block.
   std::vector<Scalar> cells_;
   std::vector<Scalar> rhs_;
@@ -807,6 +812,23 @@ class Tableau {
 
 enum class TierOutcome { kCompleted, kOverflow, kTripped };
 
+// One tier attempt's pivot counts, in the units of `SimplexStats`.
+struct TierPivots {
+  std::uint64_t pivots = 0;
+  std::uint64_t phase1 = 0;
+  std::uint64_t dual = 0;
+  std::uint64_t basis = 0;
+
+  // Adds a tableau's counts (phase 1 is never discarded, so it is taken
+  // from the tableau that finishes).
+  template <typename Scalar>
+  void Add(const Tableau<Scalar>& tableau) {
+    pivots += tableau.pivots();
+    dual += tableau.dual_pivots();
+    basis += tableau.basis_pivots();
+  }
+};
+
 // What happened to the caller-provided basis during one tier's attempt.
 // The completing tier's disposition drives the warm-start accounting in
 // `SolveWith`: exactly one of hits/misses per attempted solve, plus the
@@ -821,21 +843,16 @@ struct WarmDisposition {
 };
 
 // Runs a full two-phase solve on one arithmetic tier. On kCompleted,
-// `*out` holds the verdict (values filled for kOptimal) and the pivot
-// out-params the tier's counts; on kOverflow the attempt's pivots are
-// still flushed to the global counters by the caller.
+// `*out` holds the verdict (values filled for kOptimal); on every outcome
+// `*counts` holds the attempt's pivots, which the caller flushes to the
+// global counters.
 template <typename Scalar>
 TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
                         const std::vector<Rational>& structural_costs,
                         const SimplexOptions& options, LpResult* out,
-                        std::uint64_t* tier_pivots,
-                        std::uint64_t* tier_phase1_pivots,
-                        std::uint64_t* tier_dual_pivots,
-                        WarmDisposition* warm) {
+                        TierPivots* counts, WarmDisposition* warm) {
   ScalarOps<Scalar>::ClearOverflow();
-  *tier_pivots = 0;
-  *tier_phase1_pivots = 0;
-  *tier_dual_pivots = 0;
+  *counts = TierPivots();
   *warm = WarmDisposition();
 
   std::vector<Scalar> costs(structural_costs.size(), Scalar());
@@ -857,8 +874,13 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
 
   // Pivots spent on a warm-start attempt whose tableau was then discarded
   // (repair cap / overflow); still real work, still reported.
-  std::uint64_t discarded_pivots = 0;
-  std::uint64_t discarded_dual_pivots = 0;
+  TierPivots discarded;
+  // The attempt's counts so far: the discarded tableaux plus the live one.
+  auto count = [&] {
+    *counts = discarded;
+    counts->Add(tableau);
+    counts->phase1 = tableau.phase1_pivots();
+  };
 
   bool skip_phase1 = false;
   bool tableau_adopted = false;  // Carried-basis pivots applied (not fresh).
@@ -867,8 +889,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     bool attempted_repair = false;
     WarmStartOutcome pivot_in = tableau.TryWarmStart(
         *options.warm_start, /*allow_dual_repair=*/true, &attempted_repair);
-    *tier_pivots = tableau.pivots();
-    *tier_dual_pivots = tableau.dual_pivots();
+    count();
     switch (pivot_in) {
       case WarmStartOutcome::kFeasible:
         skip_phase1 = true;
@@ -900,8 +921,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
         // Rung 0 -> 1 of the degradation ladder (DESIGN.md §14).
         BumpStat(GetRecoveryStats().warm_start_fallbacks);
         warm->repair_fallback = attempted_repair;
-        discarded_pivots = tableau.pivots();
-        discarded_dual_pivots = tableau.dual_pivots();
+        discarded.Add(tableau);
         ScalarOps<Scalar>::ClearOverflow();
         tableau = Tableau<Scalar>(system, layout, options.guard);
         if (!tableau.ok()) {
@@ -929,13 +949,13 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     const WarmStartOutcome crashed =
         tableau.TryWarmStart(crash, /*allow_dual_repair=*/false,
                              &crash_repair);
+    count();
     if (crashed == WarmStartOutcome::kFeasible) {
       skip_phase1 = true;
     } else if (crashed == WarmStartOutcome::kTripped) {
       return TierOutcome::kTripped;
     } else if (crashed == WarmStartOutcome::kRejected) {
-      discarded_pivots += tableau.pivots();
-      discarded_dual_pivots += tableau.dual_pivots();
+      discarded.Add(tableau);
       ScalarOps<Scalar>::ClearOverflow();
       tableau = Tableau<Scalar>(system, layout, options.guard);
       if (!tableau.ok()) {
@@ -948,9 +968,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
 
   if (!skip_phase1) {
     Phase1Outcome phase1 = tableau.SolvePhase1();
-    *tier_pivots = discarded_pivots + tableau.pivots();
-    *tier_phase1_pivots = tableau.phase1_pivots();
-    *tier_dual_pivots = discarded_dual_pivots + tableau.dual_pivots();
+    count();
     if (phase1 == Phase1Outcome::kOverflow) {
       return TierOutcome::kOverflow;
     }
@@ -964,9 +982,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
   }
 
   RunOutcome phase2 = tableau.SolvePhase2(costs);
-  *tier_pivots = discarded_pivots + tableau.pivots();
-  *tier_phase1_pivots = tableau.phase1_pivots();
-  *tier_dual_pivots = discarded_dual_pivots + tableau.dual_pivots();
+  count();
   if (phase2 == RunOutcome::kOverflow) {
     return TierOutcome::kOverflow;
   }
@@ -1046,10 +1062,14 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
     }
   }
 
-  std::uint64_t tier_pivots = 0;
-  std::uint64_t tier_phase1_pivots = 0;
-  std::uint64_t tier_dual_pivots = 0;
+  TierPivots tier;
   WarmDisposition warm;
+  auto flush = [&stats, &tier] {
+    BumpStat(stats.pivots, tier.pivots);
+    BumpStat(stats.phase1_pivots, tier.phase1);
+    BumpStat(stats.dual_pivots, tier.dual);
+    BumpStat(stats.basis_pivots, tier.basis);
+  };
 
   bool try_fast_tier = effective.tier == SimplexOptions::Tier::kTwoTier;
   if (try_fast_tier && CRSAT_FAILPOINT("lp/fast_tier_overflow")) {
@@ -1062,18 +1082,15 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   if (try_fast_tier) {
     LpResult fast;
     TierOutcome outcome = SolveOnTier<SmallRational>(
-        system, layout, costs, effective, &fast, &tier_pivots,
-        &tier_phase1_pivots, &tier_dual_pivots, &warm);
-    BumpStat(stats.pivots, tier_pivots);
-    BumpStat(stats.phase1_pivots, tier_phase1_pivots);
-    BumpStat(stats.dual_pivots, tier_dual_pivots);
+        system, layout, costs, effective, &fast, &tier, &warm);
+    flush();
     if (outcome == TierOutcome::kTripped) {
       // The trip is sticky; an exact-tier restart would trip immediately.
       return effective.guard->TripStatus();
     }
     if (outcome == TierOutcome::kCompleted) {
       BumpStat(stats.fast_solves);
-      BumpStat(stats.fast_pivots, tier_pivots);
+      BumpStat(stats.fast_pivots, tier.pivots);
       RecordWarmDisposition(stats, warm);
       if (fast.outcome == LpOutcome::kOptimal) {
         fast.objective = objective.Evaluate(fast.values);
@@ -1085,11 +1102,8 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
 
   LpResult exact;
   TierOutcome outcome = SolveOnTier<Rational>(
-      system, layout, costs, effective, &exact, &tier_pivots,
-      &tier_phase1_pivots, &tier_dual_pivots, &warm);
-  BumpStat(stats.pivots, tier_pivots);
-  BumpStat(stats.phase1_pivots, tier_phase1_pivots);
-  BumpStat(stats.dual_pivots, tier_dual_pivots);
+      system, layout, costs, effective, &exact, &tier, &warm);
+  flush();
   if (outcome == TierOutcome::kTripped) {
     return effective.guard->TripStatus();
   }

@@ -47,10 +47,15 @@ struct SimplexStats {
   /// Total `Solve`/`SolveWith` calls.
   std::atomic<std::uint64_t> solves{0};
   /// Simplex iterations across both tiers, including those of fast-tier
-  /// attempts later abandoned to overflow. Not counted: the pivots that
-  /// install a warm-start basis (carried or crash) and the pivots of
-  /// `EliminateArtificialsFromBasis`, though they run the same kernel.
+  /// attempts later abandoned to overflow. Not counted here: the pivots
+  /// that install a basis (see `basis_pivots`), though they run the same
+  /// kernel.
   std::atomic<std::uint64_t> pivots{0};
+  /// Pivots that install a basis rather than iterate: the pivot-ins of a
+  /// carried or crash warm-start basis and the pivots of
+  /// `EliminateArtificialsFromBasis`, across both tiers and including
+  /// attempts later discarded. Disjoint from `pivots`.
+  std::atomic<std::uint64_t> basis_pivots{0};
   /// Subset of `pivots` spent in phase 1.
   std::atomic<std::uint64_t> phase1_pivots{0};
   /// Solves completed entirely on the int64 fast tier.

@@ -8,12 +8,9 @@
 
 namespace crsat {
 
-Result<bool> ImplicationChecker::ImpliesIsa(const Schema& schema, ClassId sub,
-                                            ClassId super,
-                                            const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
-                         Expansion::Build(schema, options));
-  SatisfiabilityChecker checker(expansion);
+Result<bool> ImplicationChecker::ImpliesIsa(
+    const SatisfiabilityChecker& checker, ClassId sub, ClassId super) {
+  const Expansion& expansion = checker.expansion();
   // Target: compound classes containing `sub` but not `super` — exactly
   // the populations witnessing a violation of `sub <= super`.
   std::vector<int> targets;
@@ -45,15 +42,16 @@ Result<bool> ImplicationChecker::ImpliesMaxCardinality(
 }
 
 Result<std::vector<std::vector<bool>>> ImplicationChecker::ImpliedIsaClosure(
-    const Schema& schema, const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
-                         Expansion::Build(schema, options));
-  SatisfiabilityChecker checker(expansion);
-  CRSAT_ASSIGN_OR_RETURN(AcceptableSupport support, checker.Support());
-  const int n = schema.num_classes();
+    const SatisfiabilityChecker& checker) {
+  const Result<AcceptableSupport>& support = checker.Support();
+  if (!support.ok()) {
+    return support.status();
+  }
+  const Expansion& expansion = checker.expansion();
+  const int n = expansion.schema().num_classes();
   std::vector<std::vector<bool>> implied(n, std::vector<bool>(n, true));
   for (size_t i = 0; i < expansion.classes().size(); ++i) {
-    if (!support.positive[checker.cr_system().class_vars[i]]) {
+    if (!support->positive[checker.cr_system().class_vars[i]]) {
       continue;
     }
     // A populated compound class containing c but not d witnesses that
@@ -71,11 +69,8 @@ Result<std::vector<std::vector<bool>>> ImplicationChecker::ImpliedIsaClosure(
 }
 
 Result<bool> ImplicationChecker::ImpliesDisjointness(
-    const Schema& schema, ClassId a, ClassId b,
-    const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
-                         Expansion::Build(schema, options));
-  SatisfiabilityChecker checker(expansion);
+    const SatisfiabilityChecker& checker, ClassId a, ClassId b) {
+  const Expansion& expansion = checker.expansion();
   // Target: compound classes containing both — populations witnessing an
   // overlap.
   std::vector<int> targets;
@@ -89,11 +84,9 @@ Result<bool> ImplicationChecker::ImpliesDisjointness(
 }
 
 Result<bool> ImplicationChecker::ImpliesCovering(
-    const Schema& schema, ClassId covered,
-    const std::vector<ClassId>& coverers, const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
-                         Expansion::Build(schema, options));
-  SatisfiabilityChecker checker(expansion);
+    const SatisfiabilityChecker& checker, ClassId covered,
+    const std::vector<ClassId>& coverers) {
+  const Expansion& expansion = checker.expansion();
   // Target: compound classes containing `covered` but none of the
   // coverers.
   std::vector<int> targets;

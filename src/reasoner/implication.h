@@ -7,6 +7,7 @@
 #include "src/base/result.h"
 #include "src/cr/schema.h"
 #include "src/expansion/expansion.h"
+#include "src/reasoner/satisfiability.h"
 
 namespace crsat {
 
@@ -21,12 +22,21 @@ namespace crsat {
 ///    by `maxc(Cexc,R,U) = m-1` is unsatisfiable in the extended schema;
 ///  * `S |= maxc(C,R,U) = n` iff `Cexc` with `minc(Cexc,R,U) = n+1` is
 ///    unsatisfiable.
+///
+/// The ISA family (`ImpliesIsa`, `ImpliedIsaClosure`, `ImpliesDisjointness`,
+/// `ImpliesCovering`) needs no schema change, so it reads the maximal
+/// acceptable support of a `checker` the caller built over the schema's
+/// expansion: acceptable solutions are closed under sums, so one support
+/// answers every target. These functions build nothing; when the
+/// checker's support is already computed (see `commands::Analysis`) each
+/// query is a lookup with no LP. Cardinality implication extends the
+/// schema with `Cexc` and so builds its own engine.
 class ImplicationChecker {
  public:
-  /// True iff every finite model of `schema` satisfies `sub <= super`.
-  static Result<bool> ImpliesIsa(const Schema& schema, ClassId sub,
-                                 ClassId super,
-                                 const ExpansionOptions& options = {});
+  /// True iff every finite model of the checker's schema satisfies
+  /// `sub <= super`.
+  static Result<bool> ImpliesIsa(const SatisfiabilityChecker& checker,
+                                 ClassId sub, ClassId super);
 
   /// True iff in every finite model, every instance of `cls` appears in at
   /// least `min` tuples of `rel` at `role`. `cls` must be a subclass of the
@@ -66,21 +76,20 @@ class ImplicationChecker {
   /// implied-but-undeclared edge, and unsatisfiable classes are vacuously
   /// below every class.
   static Result<std::vector<std::vector<bool>>> ImpliedIsaClosure(
-      const Schema& schema, const ExpansionOptions& options = {});
+      const SatisfiabilityChecker& checker);
 
   /// True iff every finite model keeps `a` and `b` disjoint (the Section 5
   /// extension as a *derived* property): no supported compound class
   /// contains both. Implied vacuously when either class is unsatisfiable.
-  static Result<bool> ImpliesDisjointness(const Schema& schema, ClassId a,
-                                          ClassId b,
-                                          const ExpansionOptions& options = {});
+  static Result<bool> ImpliesDisjointness(
+      const SatisfiabilityChecker& checker, ClassId a, ClassId b);
 
   /// True iff in every finite model each instance of `covered` belongs to
   /// some class in `coverers`: no supported compound class contains
   /// `covered` but none of the coverers.
-  static Result<bool> ImpliesCovering(const Schema& schema, ClassId covered,
-                                      const std::vector<ClassId>& coverers,
-                                      const ExpansionOptions& options = {});
+  static Result<bool> ImpliesCovering(const SatisfiabilityChecker& checker,
+                                      ClassId covered,
+                                      const std::vector<ClassId>& coverers);
 };
 
 /// One row of an implied-cardinality report: a legal `(class, relationship,

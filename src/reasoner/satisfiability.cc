@@ -60,18 +60,20 @@ Result<AcceptableSupport> ComputeAcceptableSupport(
     CRSAT_ASSIGN_OR_RETURN(
         support,
         ComputeMaximalSupport(system, forced_zero, probe_cache, guard));
-    bool changed = false;
     // (a) Variables the LP proves zero under the current pinning are zero
     // in every acceptable solution (every acceptable solution satisfies
-    // the pinned system).
+    // the pinned system). Pinning them does not change the LP's maximal
+    // support, so they alone never call for another round.
     for (VarId v = 0; v < n; ++v) {
-      if (!forced_zero[v] && !support.positive[v]) {
+      if (!support.positive[v]) {
         forced_zero[v] = true;
-        changed = true;
       }
     }
     // (b) Dependency propagation: a relationship unknown is zero in every
-    // acceptable solution once one of its class unknowns is.
+    // acceptable solution once one of its class unknowns is. After (a)
+    // every unpinned variable is positive in the last LP, so each new pin
+    // here shrinks the support and the LP must run again.
+    bool changed = false;
     for (const Dependency& dependency : dependencies) {
       if (forced_zero[dependency.dependent]) {
         continue;
@@ -133,36 +135,59 @@ const std::vector<bool>& SatisfiabilityChecker::StructurallyDeadCompounds()
   return *dead_compounds_;
 }
 
-Result<AcceptableSupport> SatisfiabilityChecker::Support() const {
+const Result<AcceptableSupport>& SatisfiabilityChecker::Support(
+    ResourceGuard* guard) const {
   if (!support_.has_value()) {
-    // Seed the fixpoint with structurally dead unknowns (and, via one step
-    // of dependency propagation, the relationship unknowns touching them)
-    // so the LP never spends probe rounds proving them zero. The seeds are
-    // sound, so the resulting support is the one the unseeded fixpoint
-    // would reach; gated on the incremental toggle purely so the forced
-    // cold reference path runs the historical solve sequence.
-    std::vector<bool> seed;
-    if (IncrementalReasoningEnabled()) {
-      const std::vector<bool>& dead = StructurallyDeadCompounds();
-      seed.assign(cr_system_.system.num_variables(), false);
-      for (size_t i = 0; i < cr_system_.class_vars.size(); ++i) {
-        seed[cr_system_.class_vars[i]] = dead[i];
-      }
-      for (const Dependency& dependency : dependencies_) {
-        for (VarId source : dependency.depends_on) {
-          if (seed[source]) {
-            seed[dependency.dependent] = true;
-            break;
-          }
+    support_ = ComputeSupport(guard != nullptr ? guard
+                                               : expansion_->options().guard);
+  }
+  return *support_;
+}
+
+Result<AcceptableSupport> SatisfiabilityChecker::ComputeSupport(
+    ResourceGuard* guard) const {
+  const int num_variables = cr_system_.system.num_variables();
+  // The structural pre-pass decided every class: no compound class can be
+  // populated, so neither can a relationship unknown (each depends on
+  // class unknowns). The support is empty without any LP.
+  bool all_known_empty = true;
+  for (int c = 0; c < expansion_->schema().num_classes(); ++c) {
+    if (!IsKnownEmpty(ClassId(c))) {
+      all_known_empty = false;
+      break;
+    }
+  }
+  if (all_known_empty) {
+    AcceptableSupport empty;
+    empty.positive.assign(num_variables, false);
+    empty.witness.assign(num_variables, Rational());
+    return empty;
+  }
+  // Seed the fixpoint with structurally dead unknowns (and, via one step
+  // of dependency propagation, the relationship unknowns touching them)
+  // so the LP never spends probe rounds proving them zero. The seeds are
+  // sound, so the resulting support is the one the unseeded fixpoint
+  // would reach; gated on the incremental toggle purely so the forced
+  // cold reference path runs the historical solve sequence.
+  std::vector<bool> seed;
+  if (IncrementalReasoningEnabled()) {
+    const std::vector<bool>& dead = StructurallyDeadCompounds();
+    seed.assign(num_variables, false);
+    for (size_t i = 0; i < cr_system_.class_vars.size(); ++i) {
+      seed[cr_system_.class_vars[i]] = dead[i];
+    }
+    for (const Dependency& dependency : dependencies_) {
+      for (VarId source : dependency.depends_on) {
+        if (seed[source]) {
+          seed[dependency.dependent] = true;
+          break;
         }
       }
     }
-    support_ = ComputeAcceptableSupport(cr_system_.system, dependencies_,
-                                        probe_cache_,
-                                        expansion_->options().guard,
-                                        seed.empty() ? nullptr : &seed);
   }
-  return *support_;
+  return ComputeAcceptableSupport(cr_system_.system, dependencies_,
+                                  probe_cache_, guard,
+                                  seed.empty() ? nullptr : &seed);
 }
 
 Result<bool> SatisfiabilityChecker::IsClassSatisfiable(ClassId cls) const {
@@ -173,26 +198,18 @@ Result<bool> SatisfiabilityChecker::IsClassSatisfiable(ClassId cls) const {
 }
 
 Result<std::vector<bool>> SatisfiabilityChecker::SatisfiableClasses() const {
+  const Result<AcceptableSupport>& support = Support();
+  if (!support.ok()) {
+    return support.status();
+  }
   const int num_classes = expansion_->schema().num_classes();
-  // If the structural pre-pass decided every class, skip the LP entirely.
-  bool all_known_empty = true;
+  std::vector<bool> satisfiable(num_classes, false);
   for (int c = 0; c < num_classes; ++c) {
-    if (!IsKnownEmpty(ClassId(c))) {
-      all_known_empty = false;
-      break;
-    }
-  }
-  if (all_known_empty) {
-    return std::vector<bool>(num_classes, false);
-  }
-  CRSAT_ASSIGN_OR_RETURN(AcceptableSupport support, Support());
-  std::vector<bool> satisfiable(expansion_->schema().num_classes(), false);
-  for (int c = 0; c < expansion_->schema().num_classes(); ++c) {
     if (IsKnownEmpty(ClassId(c))) {
       continue;
     }
     for (int class_index : expansion_->ClassIndicesContaining(ClassId(c))) {
-      if (support.positive[cr_system_.class_vars[class_index]]) {
+      if (support->positive[cr_system_.class_vars[class_index]]) {
         satisfiable[c] = true;
         break;
       }
@@ -220,9 +237,12 @@ Result<bool> SatisfiabilityChecker::IsTargetSatisfiable(
       return false;
     }
   }
-  CRSAT_ASSIGN_OR_RETURN(AcceptableSupport support, Support());
+  const Result<AcceptableSupport>& support = Support();
+  if (!support.ok()) {
+    return support.status();
+  }
   for (int class_index : target_class_indices) {
-    if (support.positive[cr_system_.class_vars[class_index]]) {
+    if (support->positive[cr_system_.class_vars[class_index]]) {
       return true;
     }
   }
@@ -231,14 +251,17 @@ Result<bool> SatisfiabilityChecker::IsTargetSatisfiable(
 
 Result<IntegerSolution> SatisfiabilityChecker::AcceptableIntegerSolution()
     const {
-  CRSAT_ASSIGN_OR_RETURN(AcceptableSupport support, Support());
+  const Result<AcceptableSupport>& support = Support();
+  if (!support.ok()) {
+    return support.status();
+  }
   // A minimal single-vertex witness keeps the scaled integers (and the
   // models built from them) small; it is automatically acceptable because
   // its support equals the maximal acceptable support.
   CRSAT_ASSIGN_OR_RETURN(
       std::vector<Rational> witness,
-      MinimalWitnessForSupport(cr_system_.system, support.positive,
-                               support.witness,
+      MinimalWitnessForSupport(cr_system_.system, support->positive,
+                               support->witness,
                                expansion_->options().guard));
   std::vector<BigInt> integers = ScaleToIntegerSolution(witness);
   IntegerSolution solution;

@@ -90,7 +90,8 @@ struct IntegerSolution {
 
 /// Decision procedure for (finite) class satisfiability in CR
 /// (Theorem 3.3). Builds Psi_S once and computes the maximal acceptable
-/// support lazily; all queries are then lookups.
+/// support lazily; all queries are then lookups that read the cached
+/// support in place.
 class SatisfiabilityChecker {
  public:
   /// The expansion must outlive the checker. `overrides`, when non-null,
@@ -104,8 +105,14 @@ class SatisfiabilityChecker {
   const CrSystem& cr_system() const { return cr_system_; }
   const Expansion& expansion() const { return *expansion_; }
 
-  /// The maximal acceptable support of Psi_S (computed once, cached).
-  Result<AcceptableSupport> Support() const;
+  /// The maximal acceptable support of Psi_S, computed on the first call
+  /// and cached, a failure included. That first computation runs under
+  /// `guard`, or under the expansion's guard when `guard` is null; later
+  /// calls return the cached result whatever guard they pass. When every
+  /// schema class is known empty (`SetKnownEmptyClasses`) the support is
+  /// empty and no LP runs. The reference lives as long as the checker.
+  const Result<AcceptableSupport>& Support(
+      ResourceGuard* guard = nullptr) const;
 
   /// Theorem 3.3: true iff `cls` can be populated in some finite model.
   Result<bool> IsClassSatisfiable(ClassId cls) const;
@@ -157,6 +164,9 @@ class SatisfiabilityChecker {
            cls.value < static_cast<int>(known_empty_.size()) &&
            known_empty_[cls.value];
   }
+
+  // The support computation behind `Support`.
+  Result<AcceptableSupport> ComputeSupport(ResourceGuard* guard) const;
 
   // Per compound class, true when it is structurally forced empty: its own
   // lifted cardinality range is empty (`CrSystem::empty_class_compounds`)

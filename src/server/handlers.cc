@@ -34,6 +34,7 @@ HandlerResult HandleParse(Session& session, const std::string& payload) {
   session.display_name = payload.substr(0, newline);
   session.schema_text = payload.substr(newline + 1);
   session.text_loaded = true;
+  session.analysis.reset();
   session.schema.reset();
   Result<NamedSchema> parsed = ParseSchema(session.schema_text);
   if (!parsed.ok()) {
@@ -43,10 +44,12 @@ HandlerResult HandleParse(Session& session, const std::string& payload) {
   }
   const std::string name = parsed->name;
   session.schema.emplace(std::move(parsed.value()));
+  session.analysis.emplace(session.schema->schema);
   return {ResponseStatus::kOk, "parsed schema '" + name + "'\n"};
 }
 
-// The status/payload mapping documented on `HandleRequest`.
+}  // namespace
+
 HandlerResult FromCommand(commands::CommandResult result) {
   switch (result.exit_code) {
     case commands::kExitOk:
@@ -60,8 +63,6 @@ HandlerResult FromCommand(commands::CommandResult result) {
               std::move(result.err.empty() ? result.out : result.err)};
   }
 }
-
-}  // namespace
 
 HandlerResult HandleRequest(Session& session, const Frame& request,
                             const ResourceLimits& caps) {
@@ -89,7 +90,8 @@ HandlerResult HandleRequest(Session& session, const Frame& request,
   ResourceGuard* guard_ptr = guard.has_value() ? &*guard : nullptr;
   switch (type) {
     case RequestType::kCheck:
-      return FromCommand(commands::Check(*session.schema, /*json=*/false,
+      return FromCommand(commands::Check(*session.schema, *session.analysis,
+                                         /*json=*/false,
                                          /*witness_mode=*/"", guard_ptr));
     case RequestType::kWitness: {
       const std::string mode =
@@ -97,8 +99,8 @@ HandlerResult HandleRequest(Session& session, const Frame& request,
       if (!commands::IsWitnessMode(mode)) {
         return BadRequest("witness mode must be text, json or dot");
       }
-      return FromCommand(
-          commands::Check(*session.schema, /*json=*/false, mode, guard_ptr));
+      return FromCommand(commands::Check(*session.schema, *session.analysis,
+                                         /*json=*/false, mode, guard_ptr));
     }
     case RequestType::kLint:
       if (!request.payload.empty() && request.payload != "json") {
@@ -108,8 +110,8 @@ HandlerResult HandleRequest(Session& session, const Frame& request,
                                         session.schema_text,
                                         request.payload == "json", guard_ptr));
     case RequestType::kImplications:
-      return FromCommand(commands::Implies(session.schema->schema,
-                                           request.payload, guard_ptr));
+      return FromCommand(
+          commands::Implies(*session.analysis, request.payload, guard_ptr));
     case RequestType::kParse:
     case RequestType::kStats:
     case RequestType::kShutdown:

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/base/resource_guard.h"
+#include "src/commands/commands.h"
 #include "src/server/protocol.h"
 #include "src/server/session.h"
 
@@ -42,10 +43,20 @@ struct HandlerResult {
 /// payload. A guard trip is kResource, the degradation ladder's honest
 /// UNKNOWN, never a guessed verdict.
 ///
+/// `check`, `witness` and `implications isa` read the session's
+/// `commands::Analysis`, so the expansion and the maximal acceptable
+/// support are computed once per parsed schema; each request still runs
+/// under its own guard (see `commands::Analysis` for the budget rule).
+///
 /// `stats` and `shutdown` are service-level requests handled by the
 /// server itself, not here; routing one in returns kBadRequest.
 HandlerResult HandleRequest(Session& session, const Frame& request,
                             const ResourceLimits& caps);
+
+/// The exit-code -> status/payload mapping above, applied to one verb's
+/// result. Exposed so a caller can compute a reply without a session, as
+/// bench_server's one-shot references do.
+HandlerResult FromCommand(commands::CommandResult result);
 
 }  // namespace server
 }  // namespace crsat

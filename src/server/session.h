@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "src/commands/analysis.h"
 #include "src/cr/schema_text.h"
 
 namespace crsat {
@@ -13,7 +14,9 @@ namespace server {
 
 /// Per-connection session state: the reason crsatd exists. A client pays
 /// `ParseSchema` once (kParse) and then issues many queries against the
-/// stored `NamedSchema` over the same connection.
+/// stored `NamedSchema` over the same connection, and the session's
+/// `commands::Analysis` computes the expansion and the maximal acceptable
+/// support at most once for all of them.
 ///
 /// Concurrency contract: the scheduler (src/server/scheduler.h)
 /// dispatches at most ONE request per session at a time, and every
@@ -35,6 +38,11 @@ struct Session {
   /// schema-dependent requests on a schema-less session are
   /// kBadRequest.
   std::optional<NamedSchema> schema;
+  /// The analysis of `schema` (present exactly when `schema` is), shared
+  /// by check, witness and `implies isa`. Declared after `schema`, which
+  /// it points into, so it is destroyed first; a parse resets it before
+  /// replacing the schema. It holds no request's guard.
+  std::optional<commands::Analysis> analysis;
   /// The raw DSL text of the last kParse — stored even when the strict
   /// parse failed, because lint works on a *leniently* re-parsed schema
   /// (permit_empty_ranges) exactly as `crsat_cli lint` does, so lint

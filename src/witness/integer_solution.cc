@@ -17,7 +17,11 @@ Result<IntegerSolution> SolveIntegerStage(const SatisfiabilityChecker& checker,
   if (guard != nullptr) {
     CRSAT_RETURN_IF_ERROR(guard->CheckNow("witness/integer"));
   }
-  CRSAT_ASSIGN_OR_RETURN(AcceptableSupport support, checker.Support());
+  const Result<AcceptableSupport>& cached = checker.Support(guard);
+  if (!cached.ok()) {
+    return cached.status();
+  }
+  const AcceptableSupport& support = *cached;
   const CrSystem& cr_system = checker.cr_system();
 
   // Nothing to witness when every class unknown is zero in every

@@ -10,6 +10,7 @@
 #include "src/lp/simplex.h"
 #include "src/reasoner/implication.h"
 #include "src/reasoner/satisfiability.h"
+#include "tests/checked_schema.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
@@ -242,14 +243,15 @@ TEST(ExtensionImplicationTest, DisjointnessImpliedAndRefuted) {
   Schema schema = MeetingSchema();
   ClassId speaker = schema.FindClass("Speaker").value();
   ClassId talk = schema.FindClass("Talk").value();
-  EXPECT_FALSE(
-      ImplicationChecker::ImpliesDisjointness(schema, speaker, talk).value());
+  EXPECT_FALSE(ImplicationChecker::ImpliesDisjointness(
+                   testing::CheckedSchema(schema).checker, speaker, talk)
+                   .value());
 
   SchemaBuilder builder = schema.ToBuilder();
   builder.AddDisjointness({"Speaker", "Talk"});
   Schema disjoint_schema = builder.Build().value();
   EXPECT_TRUE(ImplicationChecker::ImpliesDisjointness(
-                  disjoint_schema,
+                  testing::CheckedSchema(disjoint_schema).checker,
                   disjoint_schema.FindClass("Speaker").value(),
                   disjoint_schema.FindClass("Talk").value())
                   .value());
@@ -279,7 +281,7 @@ TEST(ExtensionImplicationTest, DisjointnessImpliedThroughCardinalities) {
   // ...but plain A-and-B overlap (without the AB class) is still possible,
   // so disjointness of A and B is NOT implied.
   EXPECT_FALSE(ImplicationChecker::ImpliesDisjointness(
-                   schema, schema.FindClass("A").value(),
+                   checker, schema.FindClass("A").value(),
                    schema.FindClass("B").value())
                    .value());
 }
@@ -291,15 +293,17 @@ TEST(ExtensionImplicationTest, CoveringImpliedByStructure) {
   ClassId speaker = schema.FindClass("Speaker").value();
   ClassId discussant = schema.FindClass("Discussant").value();
   ClassId talk = schema.FindClass("Talk").value();
-  EXPECT_TRUE(ImplicationChecker::ImpliesCovering(schema, speaker,
+  testing::CheckedSchema checked(schema);
+  EXPECT_TRUE(ImplicationChecker::ImpliesCovering(checked.checker, speaker,
                                                   {discussant})
                   .value());
   EXPECT_FALSE(
-      ImplicationChecker::ImpliesCovering(schema, talk, {discussant})
+      ImplicationChecker::ImpliesCovering(checked.checker, talk, {discussant})
           .value());
   // A class trivially covers itself.
   EXPECT_TRUE(
-      ImplicationChecker::ImpliesCovering(schema, talk, {talk}).value());
+      ImplicationChecker::ImpliesCovering(checked.checker, talk, {talk})
+          .value());
 }
 
 TEST(ExtensionImplicationTest, DeclaredCoveringIsImplied) {
@@ -312,14 +316,15 @@ TEST(ExtensionImplicationTest, DeclaredCoveringIsImplied) {
   builder.AddRelationship("R", {{"U", "Person"}, {"V", "Person"}});
   builder.AddCovering("Person", {"Adult", "Minor"});
   Schema schema = builder.Build().value();
+  testing::CheckedSchema checked(schema);
   EXPECT_TRUE(ImplicationChecker::ImpliesCovering(
-                  schema, schema.FindClass("Person").value(),
+                  checked.checker, schema.FindClass("Person").value(),
                   {schema.FindClass("Adult").value(),
                    schema.FindClass("Minor").value()})
                   .value());
   // The individual coverers alone do not cover.
   EXPECT_FALSE(ImplicationChecker::ImpliesCovering(
-                   schema, schema.FindClass("Person").value(),
+                   checked.checker, schema.FindClass("Person").value(),
                    {schema.FindClass("Adult").value()})
                    .value());
 }

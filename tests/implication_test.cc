@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/commands/analysis.h"
+#include "src/cr/schema_text.h"
+#include "tests/checked_schema.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
@@ -24,6 +33,8 @@ class Figure7Test : public ::testing::Test {
   }
 
   Schema schema_ = MeetingSchema();
+  crsat::testing::CheckedSchema checked_{schema_};
+  const SatisfiabilityChecker& checker_ = checked_.checker;
   ClassId speaker_, discussant_, talk_;
   RelationshipId holds_, participates_;
   RoleId u1_, u2_, u3_, u4_;
@@ -33,7 +44,7 @@ TEST_F(Figure7Test, SpeakerIsaDiscussantIsImplied) {
   // Figure 7, first inference: S |= Speaker <= Discussant (the reverse of
   // the declared ISA!).
   EXPECT_TRUE(
-      ImplicationChecker::ImpliesIsa(schema_, speaker_, discussant_).value());
+      ImplicationChecker::ImpliesIsa(checker_, speaker_, discussant_).value());
 }
 
 TEST_F(Figure7Test, MaxOneParticipationPerTalkIsImplied) {
@@ -59,19 +70,19 @@ TEST_F(Figure7Test, MaxOneHoldingPerSpeakerIsImplied) {
 
 TEST_F(Figure7Test, DeclaredIsaIsImplied) {
   EXPECT_TRUE(
-      ImplicationChecker::ImpliesIsa(schema_, discussant_, speaker_).value());
+      ImplicationChecker::ImpliesIsa(checker_, discussant_, speaker_).value());
 }
 
 TEST_F(Figure7Test, ReflexiveIsaAlwaysImplied) {
   EXPECT_TRUE(
-      ImplicationChecker::ImpliesIsa(schema_, talk_, talk_).value());
+      ImplicationChecker::ImpliesIsa(checker_, talk_, talk_).value());
 }
 
 TEST_F(Figure7Test, NonImpliedIsaRejected) {
   EXPECT_FALSE(
-      ImplicationChecker::ImpliesIsa(schema_, talk_, speaker_).value());
+      ImplicationChecker::ImpliesIsa(checker_, talk_, speaker_).value());
   EXPECT_FALSE(
-      ImplicationChecker::ImpliesIsa(schema_, speaker_, talk_).value());
+      ImplicationChecker::ImpliesIsa(checker_, speaker_, talk_).value());
 }
 
 TEST_F(Figure7Test, ImpliedMinCardinalities) {
@@ -169,7 +180,9 @@ TEST_F(Figure7Test, VacuousImplicationForUnsatisfiableClass) {
   ClassId d = schema.FindClass("D").value();
   RelationshipId r = schema.FindRelationship("R").value();
   RoleId v1 = schema.FindRole("V1").value();
-  EXPECT_TRUE(ImplicationChecker::ImpliesIsa(schema, c, d).value());
+  EXPECT_TRUE(ImplicationChecker::ImpliesIsa(
+                  crsat::testing::CheckedSchema(schema).checker, c, d)
+                  .value());
   EXPECT_TRUE(
       ImplicationChecker::ImpliesMaxCardinality(schema, c, r, v1, 0).value());
   EXPECT_TRUE(ImplicationChecker::ImpliesMinCardinality(schema, c, r, v1,
@@ -183,17 +196,20 @@ TEST_F(Figure7Test, EagerDiscussantVariantImpliesEverything) {
   Schema schema = crsat::testing::MeetingSchemaWithEagerDiscussants();
   ClassId speaker = schema.FindClass("Speaker").value();
   ClassId talk = schema.FindClass("Talk").value();
-  EXPECT_TRUE(ImplicationChecker::ImpliesIsa(schema, speaker, talk).value());
-  EXPECT_TRUE(ImplicationChecker::ImpliesIsa(schema, talk, speaker).value());
+  crsat::testing::CheckedSchema checked(schema);
+  EXPECT_TRUE(
+      ImplicationChecker::ImpliesIsa(checked.checker, speaker, talk).value());
+  EXPECT_TRUE(
+      ImplicationChecker::ImpliesIsa(checked.checker, talk, speaker).value());
 }
 
 TEST_F(Figure7Test, ImpliedIsaClosureMatchesPairwiseQueries) {
   std::vector<std::vector<bool>> closure =
-      ImplicationChecker::ImpliedIsaClosure(schema_).value();
+      ImplicationChecker::ImpliedIsaClosure(checker_).value();
   for (ClassId c : schema_.AllClasses()) {
     for (ClassId d : schema_.AllClasses()) {
       bool pairwise =
-          ImplicationChecker::ImpliesIsa(schema_, c, d).value();
+          ImplicationChecker::ImpliesIsa(checker_, c, d).value();
       EXPECT_EQ(closure[c.value][d.value], pairwise)
           << schema_.ClassName(c) << " <= " << schema_.ClassName(d);
     }
@@ -208,7 +224,7 @@ TEST_F(Figure7Test, ImpliedIsaClosureMatchesPairwiseQueries) {
 
 TEST_F(Figure7Test, ImpliedIsaClosureSupersetOfDeclaredClosure) {
   std::vector<std::vector<bool>> closure =
-      ImplicationChecker::ImpliedIsaClosure(schema_).value();
+      ImplicationChecker::ImpliedIsaClosure(checker_).value();
   for (ClassId c : schema_.AllClasses()) {
     for (ClassId d : schema_.AllClasses()) {
       if (schema_.IsSubclassOf(c, d)) {
@@ -221,7 +237,9 @@ TEST_F(Figure7Test, ImpliedIsaClosureSupersetOfDeclaredClosure) {
 TEST_F(Figure7Test, ImpliedIsaClosureVacuousForUnsatisfiableClasses) {
   Schema schema = crsat::testing::Figure1Schema();
   std::vector<std::vector<bool>> closure =
-      ImplicationChecker::ImpliedIsaClosure(schema).value();
+      ImplicationChecker::ImpliedIsaClosure(
+          crsat::testing::CheckedSchema(schema).checker)
+          .value();
   // Both classes empty in every model: everything is implied.
   EXPECT_TRUE(closure[0][1]);
   EXPECT_TRUE(closure[1][0]);
@@ -244,6 +262,89 @@ TEST_F(Figure7Test, FreshAuxiliaryNameAvoidsCollisions) {
   EXPECT_FALSE(
       ImplicationChecker::ImpliesMaxCardinality(schema, cexc, r, u, 0)
           .value());
+}
+
+// The verdict the ISA family gave before it read a shared support: a
+// fresh expansion (no provably-empty pruning) and a fresh checker per
+// query, asked whether any acceptable solution populates a compound
+// class in `targets`, selected by `violates(compound)`.
+template <typename Violates>
+bool FreshQueryImplied(const Schema& schema, ClassId member,
+                       Violates violates) {
+  Expansion expansion = Expansion::Build(schema).value();
+  SatisfiabilityChecker checker(expansion);
+  std::vector<int> targets;
+  for (int class_index : expansion.ClassIndicesContaining(member)) {
+    if (violates(expansion.classes()[class_index])) {
+      targets.push_back(class_index);
+    }
+  }
+  return !checker.IsTargetSatisfiable(targets).value();
+}
+
+TEST(ExampleSchemaImplicationTest, SharedAnalysisMatchesFreshQueries) {
+  // Every ISA-family query on every shipped schema, answered from one
+  // analysis (pruned expansion, support computed once), equals the
+  // verdict of a fresh expansion and checker per query.
+  const std::filesystem::path dir =
+      std::filesystem::path(CRSAT_SOURCE_DIR) / "examples" / "schemas";
+  int schemas_seen = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".cr") {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    Result<NamedSchema> parsed = ParseSchema(text.str());
+    if (!parsed.ok()) {
+      continue;  // A state file, or a schema only lint accepts.
+    }
+    ++schemas_seen;
+    const Schema& schema = parsed->schema;
+    const std::string name = entry.path().filename().string();
+    commands::Analysis analysis(schema);
+    const SatisfiabilityChecker& shared = *analysis.Checker(nullptr).value();
+    const std::vector<std::vector<bool>> closure =
+        ImplicationChecker::ImpliedIsaClosure(shared).value();
+    for (ClassId c : schema.AllClasses()) {
+      std::vector<ClassId> others;
+      for (ClassId d : schema.AllClasses()) {
+        const std::string pair =
+            name + ": " + schema.ClassName(c) + ", " + schema.ClassName(d);
+        const bool isa = FreshQueryImplied(
+            schema, c, [d](const CompoundClass& k) { return !k.Contains(d); });
+        EXPECT_EQ(ImplicationChecker::ImpliesIsa(shared, c, d).value(), isa)
+            << pair;
+        EXPECT_EQ(closure[c.value][d.value], isa) << pair;
+        EXPECT_EQ(ImplicationChecker::ImpliesDisjointness(shared, c, d).value(),
+                  FreshQueryImplied(schema, c, [d](const CompoundClass& k) {
+                    return k.Contains(d);
+                  }))
+            << pair;
+        EXPECT_EQ(ImplicationChecker::ImpliesCovering(shared, c, {d}).value(),
+                  isa)
+            << pair;
+        if (d.value != c.value) {
+          others.push_back(d);
+        }
+      }
+      EXPECT_EQ(ImplicationChecker::ImpliesCovering(shared, c, others).value(),
+                FreshQueryImplied(schema, c,
+                                  [&others](const CompoundClass& k) {
+                                    for (ClassId d : others) {
+                                      if (k.Contains(d)) {
+                                        return false;
+                                      }
+                                    }
+                                    return true;
+                                  }))
+          << name << ": " << schema.ClassName(c) << " by the others";
+    }
+  }
+  // Every shipped schema but lint_demo.cr, which only lint's lenient
+  // parse accepts.
+  EXPECT_GE(schemas_seen, 8);
 }
 
 }  // namespace

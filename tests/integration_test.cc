@@ -55,7 +55,7 @@ TEST(IntegrationTest, PaperNarrativeEndToEnd) {
   RoleId u1 = schema.FindRole("U1").value();
   RoleId u4 = schema.FindRole("U4").value();
   EXPECT_TRUE(
-      ImplicationChecker::ImpliesIsa(schema, speaker, discussant).value());
+      ImplicationChecker::ImpliesIsa(checker, speaker, discussant).value());
   EXPECT_TRUE(ImplicationChecker::ImpliesMaxCardinality(schema, talk,
                                                         participates, u4, 1)
                   .value());

@@ -13,6 +13,7 @@
 #include "src/reasoner/satisfiability.h"
 #include "src/reasoner/unsat_core.h"
 #include "src/witness/witness.h"
+#include "tests/checked_schema.h"
 
 namespace crsat {
 namespace {
@@ -182,11 +183,16 @@ TEST_P(ImpliedClosureAgreementTest, ClosureMatchesPairwiseQueries) {
   params.primary_card_probability = 0.8;
   params.refinement_probability = 0.4;
   Schema schema = GenerateRandomSchema(params).value();
+  testing::CheckedSchema checked(schema);
   std::vector<std::vector<bool>> closure =
-      ImplicationChecker::ImpliedIsaClosure(schema).value();
+      ImplicationChecker::ImpliedIsaClosure(checked.checker).value();
   for (ClassId c : schema.AllClasses()) {
     for (ClassId d : schema.AllClasses()) {
-      bool pairwise = ImplicationChecker::ImpliesIsa(schema, c, d).value();
+      // A fresh checker per query, so the closure's shared support is
+      // compared with supports computed independently.
+      testing::CheckedSchema fresh(schema);
+      bool pairwise =
+          ImplicationChecker::ImpliesIsa(fresh.checker, c, d).value();
       EXPECT_EQ(static_cast<bool>(closure[c.value][d.value]), pairwise)
           << schema.ClassName(c) << " <= " << schema.ClassName(d)
           << ", seed " << params.seed;

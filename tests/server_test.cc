@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -19,9 +20,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/base/failpoint.h"
 #include "src/base/mutex.h"
 #include "src/base/thread_pool.h"
 #include "src/server/client.h"
+#include "src/server/handlers.h"
 #include "src/server/protocol.h"
 #include "src/server/scheduler.h"
 #include "src/server/server.h"
@@ -906,6 +909,215 @@ TEST(ServerTest, UnixSocketListenerServesRequests) {
 
   daemon.BeginDrain();
   daemon.Wait();
+}
+
+// ---------------------------------------------------------------------------
+// The session's analysis: one expansion and support per parsed schema,
+// shared by check, witness and `implications isa` (commands/analysis.h).
+// These drive `HandleRequest` on a `Session` directly, without a socket.
+
+HandlerResult Send(Session& session, RequestType type,
+                   const std::string& payload, std::uint32_t deadline_ms = 0,
+                   std::uint64_t max_compounds = 0) {
+  Frame request = MakeRequest(type, payload);
+  request.deadline_ms = deadline_ms;
+  request.max_compounds = max_compounds;
+  return HandleRequest(session, request, ResourceLimits());
+}
+
+HandlerResult ParseInto(Session& session, const std::string& name) {
+  const std::string path = Schema(name);
+  return Send(session, RequestType::kParse, path + "\n" + ReadFileOrDie(path));
+}
+
+// The reply of a session that parsed `name` and served nothing else.
+HandlerResult Fresh(const std::string& name, RequestType type,
+                    const std::string& payload) {
+  Session session(1);
+  EXPECT_EQ(ParseInto(session, name).status, ResponseStatus::kOk) << name;
+  return Send(session, type, payload);
+}
+
+struct Query {
+  RequestType type;
+  std::string payload;
+};
+
+void ExpectSame(const HandlerResult& reply, const HandlerResult& expected,
+                const std::string& context) {
+  EXPECT_EQ(reply.status, expected.status) << context;
+  EXPECT_EQ(reply.payload, expected.payload) << context;
+}
+
+void ExpectFresh(const std::string& name, const Query& query,
+                 const HandlerResult& reply, const std::string& context) {
+  ExpectSame(reply, Fresh(name, query.type, query.payload),
+             name + " " + context);
+}
+
+const std::map<std::string, std::string>& IsaQueries() {
+  static const std::map<std::string, std::string> queries = {
+      {"university.cr", "isa PhDStudent Person"},
+      {"meeting.cr", "isa Speaker Discussant"},
+      {"figure1.cr", "isa D C"},
+      {"finitely_unsat_chain.cr", "isa B A"}};
+  return queries;
+}
+
+TEST(SessionAnalysisTest, RepliesInAnyOrderMatchFreshSessions) {
+  for (const auto& [name, isa] : IsaQueries()) {
+    const std::vector<Query> queries = {{RequestType::kCheck, ""},
+                                        {RequestType::kWitness, "text"},
+                                        {RequestType::kImplications, isa},
+                                        {RequestType::kWitness, "dot"}};
+    std::vector<HandlerResult> fresh;
+    for (const Query& query : queries) {
+      fresh.push_back(Fresh(name, query.type, query.payload));
+    }
+    std::vector<int> order = {0, 1, 2, 3};
+    do {
+      Session session(2);
+      ASSERT_EQ(ParseInto(session, name).status, ResponseStatus::kOk);
+      // Every order, then a repeated check on the warm analysis.
+      std::vector<int> sequence = order;
+      sequence.push_back(0);
+      std::string context = "order";
+      for (int q : sequence) {
+        context += " " + std::to_string(q);
+        ExpectSame(Send(session, queries[q].type, queries[q].payload),
+                   fresh[q], name + " " + context);
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+TEST(SessionAnalysisTest, ReparseAnswersForTheNewSchema) {
+  Session session(3);
+  for (const std::string name :
+       {"university.cr", "meeting.cr", "figure1.cr", "university.cr"}) {
+    ASSERT_EQ(ParseInto(session, name).status, ResponseStatus::kOk);
+    for (const Query& query :
+         {Query{RequestType::kCheck, ""}, Query{RequestType::kWitness, "text"},
+          Query{RequestType::kImplications, IsaQueries().at(name)}}) {
+      ExpectFresh(name, query, Send(session, query.type, query.payload),
+                  "after re-parse");
+    }
+  }
+  // A parse that fails drops the schema and its analysis together.
+  EXPECT_EQ(Send(session, RequestType::kParse, "bad.cr\nschema {").status,
+            ResponseStatus::kFindings);
+  EXPECT_FALSE(session.schema.has_value());
+  EXPECT_FALSE(session.analysis.has_value());
+  EXPECT_EQ(Send(session, RequestType::kCheck, "").status,
+            ResponseStatus::kBadRequest);
+}
+
+TEST(SessionAnalysisTest, TrippedFirstRequestCachesNothing) {
+  const std::string name = "university.cr";
+  const std::vector<Query> follow_ups = {
+      {RequestType::kCheck, ""},
+      {RequestType::kWitness, "text"},
+      {RequestType::kImplications, IsaQueries().at(name)}};
+  std::vector<HandlerResult> fresh;
+  for (const Query& query : follow_ups) {
+    fresh.push_back(Fresh(name, query.type, query.payload));
+  }
+  auto expect_follow_ups = [&](Session& session, const std::string& context) {
+    for (std::size_t q = 0; q < follow_ups.size(); ++q) {
+      ExpectSame(Send(session, follow_ups[q].type, follow_ups[q].payload),
+                 fresh[q], context);
+    }
+  };
+  {
+    // university.cr's support takes several milliseconds of LP, so a
+    // 1 ms deadline trips while the analysis is being built.
+    Session session(4);
+    ASSERT_EQ(ParseInto(session, name).status, ResponseStatus::kOk);
+    const HandlerResult tripped =
+        Send(session, RequestType::kCheck, "", /*deadline_ms=*/1);
+    EXPECT_EQ(tripped.status, ResponseStatus::kResource) << tripped.payload;
+    expect_follow_ups(session, "after a deadline trip");
+  }
+  // An injected trip at each guard check of the build in turn: the first
+  // request fails or (once `nth` passes the build's last check) answers
+  // in full, and the unlimited requests after it always answer in full.
+  bool any_trip = false;
+  for (std::uint64_t nth = 1; nth <= 40; ++nth) {
+    Session session(5);
+    ASSERT_EQ(ParseInto(session, name).status, ResponseStatus::kOk);
+    HandlerResult first;
+    {
+      ScopedFailpoint trip("guard/trip", nth);
+      ASSERT_TRUE(trip.status().ok());
+      first = Send(session, RequestType::kCheck, "", /*deadline_ms=*/0,
+                   /*max_compounds=*/std::uint64_t{1} << 40);
+    }
+    const std::string context = "after guard/trip nth:" + std::to_string(nth);
+    if (first.status == ResponseStatus::kResource) {
+      any_trip = true;
+    } else {
+      ExpectSame(first, fresh[0], context);
+    }
+    expect_follow_ups(session, context);
+  }
+  EXPECT_TRUE(any_trip);
+}
+
+TEST(SessionAnalysisTest, AnalysisKeepsNoRequestGuard) {
+  // A guarded request builds the analysis; its guard dies with the
+  // request. The unguarded witness request after it must not reach that
+  // guard (the sanitizer build reports it if it does).
+  const std::string name = "university.cr";
+  Session session(6);
+  ASSERT_EQ(ParseInto(session, name).status, ResponseStatus::kOk);
+  const HandlerResult guarded =
+      Send(session, RequestType::kCheck, "", /*deadline_ms=*/600000,
+           /*max_compounds=*/std::uint64_t{1} << 40);
+  ExpectFresh(name, {RequestType::kCheck, ""}, guarded, "guarded build");
+  ASSERT_TRUE(session.analysis.has_value());
+  Result<const SatisfiabilityChecker*> checker =
+      session.analysis->Checker(nullptr);
+  ASSERT_TRUE(checker.ok());
+  EXPECT_EQ((*checker)->expansion().options().guard, nullptr);
+  ExpectFresh(name, {RequestType::kWitness, "text"},
+              Send(session, RequestType::kWitness, "text"),
+              "unguarded witness after a guarded build");
+}
+
+TEST(SessionAnalysisTest, CachedAnalysisOverBudgetIsRefused) {
+  // A request that reuses the analysis pays for its compounds: a budget
+  // below them is refused as the one-shot CLI refuses it.
+  const std::string name = "university.cr";
+  Session session(7);
+  ASSERT_EQ(ParseInto(session, name).status, ResponseStatus::kOk);
+  ASSERT_EQ(Send(session, RequestType::kCheck, "").status,
+            ResponseStatus::kOk);
+  const Expansion& expansion =
+      session.analysis->Checker(nullptr).value()->expansion();
+  const std::uint64_t compounds =
+      expansion.classes().size() + expansion.relationships().size();
+  ASSERT_GT(compounds, 1u);
+  for (const Query& query :
+       {Query{RequestType::kCheck, ""}, Query{RequestType::kWitness, "text"},
+        Query{RequestType::kImplications, IsaQueries().at(name)}}) {
+    const HandlerResult refused = Send(session, query.type, query.payload,
+                                       /*deadline_ms=*/0, compounds - 1);
+    EXPECT_EQ(refused.status, ResponseStatus::kResource) << query.payload;
+    EXPECT_NE(refused.payload.find("compound budget"), std::string::npos)
+        << refused.payload;
+    // A fresh session that builds under the same budget is refused too.
+    Session fresh(8);
+    ASSERT_EQ(ParseInto(fresh, name).status, ResponseStatus::kOk);
+    EXPECT_EQ(Send(fresh, query.type, query.payload, /*deadline_ms=*/0,
+                   compounds - 1)
+                  .status,
+              ResponseStatus::kResource)
+        << query.payload;
+    ExpectFresh(name, query,
+                Send(session, query.type, query.payload, /*deadline_ms=*/0,
+                     compounds),
+                "at a budget of exactly the analysis's compounds");
+  }
 }
 
 }  // namespace
