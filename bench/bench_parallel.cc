@@ -21,6 +21,7 @@
 // timing as advisory — but the cross-thread determinism check (the part
 // that matters on any core count) still runs for real.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -541,6 +542,112 @@ int main(int argc, char** argv) {
         })));
   }
 
+  // Workload 5: schema debugging — MinimizeUnsatCore plus SuggestRepairs
+  // on every unsatisfiable class of the example schemas and of seeded
+  // ISA-free and ISA schemas shaped like perfbench's check_batch corpus.
+  // Each probe of an ISA-free edit is answered by the Lenzerini-Nobili
+  // stage (counted in ln_short_circuits); the others expand. The digest
+  // folds every core and suggestion.
+  {
+    std::vector<crsat::Schema> schemas;
+    std::vector<std::string> names;
+    for (const char* file :
+         {"figure1.cr", "finitely_unsat_binary_tree.cr",
+          "finitely_unsat_chain.cr", "finitely_unsat_pair.cr",
+          "finitely_unsat_ternary.cr"}) {
+      std::string path =
+          std::string(CRSAT_SOURCE_DIR) + "/examples/schemas/" + file;
+      std::ifstream stream(path);
+      std::ostringstream text;
+      text << stream.rdbuf();
+      crsat::Result<crsat::NamedSchema> parsed =
+          crsat::ParseSchema(text.str());
+      if (!parsed.ok()) {
+        std::cerr << path << ": " << parsed.status() << "\n";
+        return EXIT_FAILURE;
+      }
+      schemas.push_back(parsed->schema);
+      names.push_back(file);
+    }
+    // The first `num_schemas` seeds of each shape that leave some class
+    // unsatisfiable.
+    for (double isa_density : {0.0, 0.3}) {
+      int kept = 0;
+      for (std::uint32_t seed = 1; kept < num_schemas; ++seed) {
+        crsat::RandomSchemaParams params;
+        params.seed = seed;
+        params.num_classes = 3;
+        params.num_relationships = 3;
+        params.isa_density = isa_density;
+        crsat::Result<crsat::Schema> schema =
+            crsat::GenerateRandomSchema(params);
+        if (!schema.ok()) {
+          std::cerr << schema.status() << "\n";
+          return EXIT_FAILURE;
+        }
+        crsat::Result<crsat::Expansion> expansion =
+            crsat::Expansion::Build(*schema);
+        if (!expansion.ok()) {
+          std::cerr << expansion.status() << "\n";
+          return EXIT_FAILURE;
+        }
+        crsat::Result<std::vector<bool>> verdicts =
+            crsat::SatisfiabilityChecker(*expansion).SatisfiableClasses();
+        if (!verdicts.ok()) {
+          std::cerr << verdicts.status() << "\n";
+          return EXIT_FAILURE;
+        }
+        if (std::find(verdicts->begin(), verdicts->end(), false) ==
+            verdicts->end()) {
+          continue;
+        }
+        schemas.push_back(std::move(*schema));
+        names.push_back((isa_density == 0 ? "isa_free(seed=" : "isa(seed=") +
+                        std::to_string(seed) + ")");
+        ++kept;
+      }
+    }
+    workloads.push_back(TimeAtThreadCounts(
+        "unsat_core_sweep(" + std::to_string(schemas.size()) +
+            " schemas, 10 passes)",
+        thread_counts, repeat, single_core, oversubscribe,
+        Passes(10, [&schemas, &names]() {
+          std::string digest;
+          for (size_t i = 0; i < schemas.size(); ++i) {
+            const crsat::Schema& schema = schemas[i];
+            for (int c = 0; c < schema.num_classes(); ++c) {
+              const crsat::ClassId cls(c);
+              crsat::Result<crsat::UnsatCore> core =
+                  crsat::MinimizeUnsatCore(schema, cls);
+              if (!core.ok()) {
+                if (core.status().code() ==
+                    crsat::StatusCode::kInvalidArgument) {
+                  continue;  // Satisfiable: no core.
+                }
+                std::cerr << names[i] << ": " << core.status() << "\n";
+                std::exit(EXIT_FAILURE);
+              }
+              crsat::Result<std::vector<crsat::RepairSuggestion>> repairs =
+                  crsat::SuggestRepairs(schema, cls, *core);
+              if (!repairs.ok()) {
+                std::cerr << names[i] << ": " << repairs.status() << "\n";
+                std::exit(EXIT_FAILURE);
+              }
+              digest += names[i] + "." + schema.ClassName(cls) + ":";
+              for (const crsat::CoreConstraint& constraint :
+                   core->constraints) {
+                digest += constraint.description + ";";
+              }
+              for (const crsat::RepairSuggestion& suggestion : *repairs) {
+                digest += suggestion.description + ";";
+              }
+              digest += "\n";
+            }
+          }
+          return digest;
+        })));
+  }
+
   bool all_deterministic = true;
   for (const Workload& workload : workloads) {
     all_deterministic = all_deterministic && workload.deterministic;
@@ -574,7 +681,8 @@ int main(int argc, char** argv) {
                 << "  incr_fallbacks=" << stats.incremental_fallbacks
                 << "  dom_hits=" << stats.dominance_hits << "/"
                 << stats.dominance_lookups
-                << "  pruned=" << stats.pruned_subtrees << "\n";
+                << "  pruned=" << stats.pruned_subtrees
+                << "  ln_short_circuits=" << stats.ln_short_circuits << "\n";
     }
   }
 

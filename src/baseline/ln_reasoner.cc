@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/lp/homogeneous.h"
-#include "src/reasoner/satisfiability.h"
 
 namespace crsat {
 

@@ -382,4 +382,93 @@ Result<SupportResult> ComputeMaximalSupport(
   return result;
 }
 
+Result<std::vector<Rational>> MinimalWitnessForSupport(
+    const LinearSystem& system, const std::vector<bool>& positive,
+    const std::vector<Rational>& fallback, ResourceGuard* guard,
+    WarmStartBasis* basis_carry) {
+  LinearSystem pinned = system;
+  LinearExpr total;
+  for (VarId v = 0; v < pinned.num_variables(); ++v) {
+    if (positive[v]) {
+      LinearExpr at_least_one = LinearExpr::Var(v);
+      at_least_one.AddConstant(Rational(-1));
+      pinned.AddGe(std::move(at_least_one));
+      total.AddTerm(v, Rational(1));
+    } else {
+      pinned.AddEq(LinearExpr::Var(v));
+    }
+  }
+  SimplexOptions options;
+  options.guard = guard;
+  WarmStartBasis exported;
+  if (basis_carry != nullptr) {
+    if (!basis_carry->empty()) {
+      options.warm_start = basis_carry;
+    }
+    options.export_basis = &exported;
+  }
+  CRSAT_ASSIGN_OR_RETURN(
+      LpResult lp,
+      SimplexSolver::SolveWith(pinned, total, /*maximize=*/false, options));
+  if (lp.outcome != LpOutcome::kOptimal) {
+    return fallback;
+  }
+  if (basis_carry != nullptr && !exported.empty()) {
+    *basis_carry = std::move(exported);
+  }
+  return std::move(lp.values);
+}
+
+Result<AcceptableSupport> ComputeAcceptableSupport(
+    const LinearSystem& system, const std::vector<Dependency>& dependencies,
+    WarmStartBasisCache* probe_cache, ResourceGuard* guard,
+    const std::vector<bool>* seed_zero) {
+  const int n = system.num_variables();
+  std::vector<bool> forced_zero =
+      seed_zero != nullptr ? *seed_zero : std::vector<bool>(n, false);
+  SupportResult support;
+  while (true) {
+    // Every iteration sees the shape-keyed cache: later iterations pin
+    // more variables (a different probe shape), so they miss the earlier
+    // iterations' entries but warm-start within their own shape family —
+    // and across calls on similarly-pinned systems.
+    CRSAT_ASSIGN_OR_RETURN(
+        support,
+        ComputeMaximalSupport(system, forced_zero, probe_cache, guard));
+    // (a) Variables the LP proves zero under the current pinning are zero
+    // in every acceptable solution (every acceptable solution satisfies
+    // the pinned system). Pinning them does not change the LP's maximal
+    // support, so they alone never call for another round.
+    for (VarId v = 0; v < n; ++v) {
+      if (!support.positive[v]) {
+        forced_zero[v] = true;
+      }
+    }
+    // (b) Dependency propagation: a relationship unknown is zero in every
+    // acceptable solution once one of its class unknowns is. After (a)
+    // every unpinned variable is positive in the last LP, so each new pin
+    // here shrinks the support and the LP must run again.
+    bool changed = false;
+    for (const Dependency& dependency : dependencies) {
+      if (forced_zero[dependency.dependent]) {
+        continue;
+      }
+      for (VarId source : dependency.depends_on) {
+        if (forced_zero[source]) {
+          forced_zero[dependency.dependent] = true;
+          changed = true;
+          break;
+        }
+      }
+    }
+    if (!changed) {
+      break;
+    }
+  }
+  AcceptableSupport result;
+  result.positive = support.positive;
+  result.witness = std::move(support.witness);
+  return result;
+}
+
 }  // namespace crsat

@@ -13,6 +13,10 @@ namespace crsat {
 /// solution sets are convex cones closed under addition and positive
 /// scaling. The paper's systems Psi_S are of exactly this shape, which is
 /// what lets strict constraints and integrality be handled by scaling.
+/// The acceptable-support fixpoint of Section 3.3 lives here too, at the
+/// bottom of the file: it touches only the system and the simplex, and
+/// both the reasoner (src/reasoner/satisfiability.h) and the
+/// Lenzerini-Nobili baseline (src/baseline/ln_reasoner.h) drive it.
 
 /// Decides feasibility of a homogeneous `system` that may contain strict
 /// (`expr > 0`) constraints, returning a satisfying assignment when one
@@ -95,6 +99,74 @@ Result<SupportResult> ComputeMaximalSupport(
     const LinearSystem& system, const std::vector<bool>& forced_zero,
     WarmStartBasisCache* basis_cache = nullptr,
     ResourceGuard* guard = nullptr);
+
+/// The maximal support realizable by an *acceptable* solution of a
+/// homogeneous system (Section 3.3: a solution is acceptable if every
+/// relationship unknown that depends on a zero class unknown is itself
+/// zero).
+struct AcceptableSupport {
+  /// `positive[v]` iff some acceptable solution assigns `v` a positive
+  /// value — equivalently (acceptable solutions are closed under addition)
+  /// iff the maximum-support acceptable solution does.
+  std::vector<bool> positive;
+  /// One acceptable solution whose support is exactly `positive`.
+  std::vector<Rational> witness;
+};
+
+/// A dependency edge: `dependent` must be zero whenever any variable in
+/// `depends_on` is zero (the paper's "Var(R) depends on Var(C)").
+struct Dependency {
+  VarId dependent;
+  std::vector<VarId> depends_on;
+};
+
+/// Returns a *minimal* solution of `system` whose support is exactly
+/// `positive`: support variables are pinned to `>= 1`, the others to 0,
+/// and the total is minimized in a single LP. Used to keep integer
+/// witnesses (and the models built from them) small — the raw accumulated
+/// support witness is a sum of many LP vertices whose denominators
+/// multiply up. Falls back to `fallback` if the LP is not optimal (cannot
+/// happen for a correct support; defensive).
+///
+/// `basis_carry`, when non-null, threads a warm-start basis across
+/// successive calls on same-shaped pinned systems (the witness
+/// synthesizer's repeated syntheses over one expansion): a carried basis
+/// skips phase 1, and an optimal solve writes its final basis back. A
+/// stale or mismatched carry only costs a rejected warm-start attempt.
+Result<std::vector<Rational>> MinimalWitnessForSupport(
+    const LinearSystem& system, const std::vector<bool>& positive,
+    const std::vector<Rational>& fallback, ResourceGuard* guard = nullptr,
+    WarmStartBasis* basis_carry = nullptr);
+
+/// Computes the maximal acceptable support of a homogeneous non-strict
+/// `system` under the given dependencies.
+///
+/// Algorithm (equivalent to Theorem 3.4's subset enumeration, but
+/// polynomial in the system size): maintain a set of variables proven zero
+/// in every acceptable solution; alternate (a) LP probes marking variables
+/// that cannot be positive once the proven-zero ones are pinned, and (b)
+/// dependency propagation, until a fixpoint. Acceptable solutions form a
+/// cone closed under addition, so the surviving variables are exactly the
+/// support of a single (witness) acceptable solution.
+///
+/// `probe_cache`, when non-null, carries warm-start bases across LP probes
+/// — both across the fixpoint's own iterations (whose probe shapes shrink
+/// as more variables are pinned; the shape-keyed cache serves each shape
+/// family) and across successive calls on related systems (see
+/// `ComputeMaximalSupport`). Reuse affects cost only, never verdicts.
+///
+/// `seed_zero`, when non-null (size = `system.num_variables()`), pre-pins
+/// variables already known to be zero in every acceptable solution (e.g.
+/// unknowns whose constraint rows force them to zero structurally). The
+/// seeds must be sound: the fixpoint would prove them zero anyway, so
+/// seeding skips LP rounds without changing the resulting support.
+///
+/// `guard`, when non-null, bounds the whole fixpoint (it is handed down to
+/// every LP probe; see `ComputeMaximalSupport`).
+Result<AcceptableSupport> ComputeAcceptableSupport(
+    const LinearSystem& system, const std::vector<Dependency>& dependencies,
+    WarmStartBasisCache* probe_cache = nullptr, ResourceGuard* guard = nullptr,
+    const std::vector<bool>* seed_zero = nullptr);
 
 }  // namespace crsat
 

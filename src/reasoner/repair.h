@@ -46,6 +46,12 @@ struct RepairSuggestion {
 /// otherwise. This realizes the Section 5 "schema debugging" programme:
 /// not just *why* the class is empty, but the nearest schemas in which it
 /// is not.
+///
+/// Every candidate edit is one `ClassSatisfiableIn` probe
+/// (src/reasoner/unsat_core.h), so `options` is handled as there: a guard
+/// trip returns the guard's status, never a partial list, and
+/// `options.known_empty_classes` is ignored, because the facts hold for
+/// `schema` and not for its edits.
 Result<std::vector<RepairSuggestion>> SuggestRepairs(
     const Schema& schema, ClassId cls, const UnsatCore& core,
     const ExpansionOptions& options = {});

@@ -1,7 +1,10 @@
 #include "src/reasoner/unsat_core.h"
 
+#include <optional>
 #include <vector>
 
+#include "src/base/resource_guard.h"
+#include "src/baseline/fast_path.h"
 #include "src/cr/schema_text.h"
 #include "src/reasoner/satisfiability.h"
 
@@ -66,8 +69,25 @@ Result<Schema> WithActiveUnits(const Schema& schema,
 // the deletion-based sweep yields a subset-minimal core.
 Result<bool> ClassSatisfiableIn(const Schema& schema, ClassId cls,
                                 const ExpansionOptions& options) {
+  if (options.guard != nullptr) {
+    // The Lenzerini-Nobili stage polls nothing, so without this a sweep
+    // of ISA-free probes would never notice a deadline.
+    CRSAT_RETURN_IF_ERROR(options.guard->CheckNow("unsat_core/probe"));
+  }
+  // Stage 1: an edit with no ISA, disjointness, covering or refinement is
+  // decided by the baseline on one unknown per class and relationship.
+  // It answers nothing when `IncrementalReasoningEnabled()` is false.
+  CRSAT_ASSIGN_OR_RETURN(std::optional<std::vector<bool>> fast,
+                         TryLnSatisfiableClasses(schema));
+  if (fast.has_value()) {
+    return static_cast<bool>((*fast)[cls.value]);
+  }
+  // Stage 2: the full expansion. The caller's provably-empty facts were
+  // derived for the schema it started from, not for this edit of it.
+  ExpansionOptions probe_options = options;
+  probe_options.known_empty_classes = nullptr;
   CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
-                         Expansion::Build(schema, options));
+                         Expansion::Build(schema, probe_options));
   SatisfiabilityChecker checker(expansion);
   return checker.IsClassSatisfiable(cls);
 }

@@ -44,16 +44,30 @@ struct UnsatCore {
 ///
 /// Deletion-based minimization: each constraint is tentatively dropped;
 /// if the class stays unsatisfiable the constraint is discarded for good,
-/// otherwise it is part of the core. Cost: one satisfiability check per
-/// constraint. Fails with `InvalidArgument` if `cls` is satisfiable in
-/// `schema` to begin with.
+/// otherwise it is part of the core. Cost: one `ClassSatisfiableIn` probe
+/// per constraint, plus one on `schema` itself. Fails with
+/// `InvalidArgument` if `cls` is satisfiable in `schema` to begin with.
+///
+/// `options.guard` bounds the whole sweep: a trip returns the guard's
+/// status, never a partial core. `options.known_empty_classes` is ignored:
+/// those facts hold for `schema`, not for the edits of it that the probes
+/// check (an edit can make a provably-empty class satisfiable again).
 Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
                                     const ExpansionOptions& options = {});
 
 /// One probe of the core minimizer and of the repair search
-/// (src/reasoner/repair.h): expands `schema` and decides whether `cls` is
-/// satisfiable in it. The probed schemas are edits of the original,
-/// taken with `Schema::ToBuilder()`, so class ids carry over.
+/// (src/reasoner/repair.h): decides whether `cls` is satisfiable in
+/// `schema`. The probed schemas are edits of the original, taken with
+/// `Schema::ToBuilder()`, so class ids carry over.
+///
+/// A probe first polls `options.guard` at the `unsat_core/probe` site. An
+/// ISA-free `schema` is then decided by the Lenzerini-Nobili baseline
+/// (`TryLnSatisfiableClasses`, src/baseline/fast_path.h) without an
+/// expansion; any other schema, or every schema when
+/// `IncrementalReasoningEnabled()` is false, is expanded under `options`
+/// and checked by a `SatisfiabilityChecker`. Both stages give the same
+/// verdict. `options.known_empty_classes` is ignored (see
+/// `MinimizeUnsatCore`).
 Result<bool> ClassSatisfiableIn(const Schema& schema, ClassId cls,
                                 const ExpansionOptions& options);
 

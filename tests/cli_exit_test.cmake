@@ -141,7 +141,9 @@ endforeach()
 # Schema debugging is locked byte for byte: for every unsatisfiable class
 # of every example schema that `check` accepts, `debug` exits 0 and prints
 # exactly tests/golden/<schema>.<Class>.debug (core order, constraint
-# texts, repair suggestions). Every golden file must be reached.
+# texts, repair suggestions), both by default and with
+# CRSAT_NO_INCREMENTAL=1, where no probe takes the Lenzerini-Nobili stage.
+# Every golden file must be reached.
 set(GOLDEN "${CRSAT_SOURCE_DIR}/tests/golden")
 file(GLOB golden_files RELATIVE "${GOLDEN}" "${GOLDEN}/*.debug")
 set(reached_goldens "")
@@ -161,17 +163,20 @@ foreach(schema_file ${schema_files})
         "unsatisfiable class ${class} of ${schema}.cr")
     endif()
     list(APPEND reached_goldens "${golden_name}")
-    execute_process(
-      COMMAND ${CRSAT_CLI} debug "${schema_file}" "${class}"
-      RESULT_VARIABLE debug_exit
-      OUTPUT_VARIABLE debug_out
-      ERROR_QUIET)
     file(READ "${GOLDEN}/${golden_name}" expected)
-    if(NOT debug_exit EQUAL 0 OR NOT debug_out STREQUAL expected)
-      message(FATAL_ERROR "crsat_cli debug ${schema}.cr ${class}: exit "
-        "${debug_exit}, output differs from tests/golden/${golden_name}:\n"
-        "${debug_out}")
-    endif()
+    foreach(no_incremental 0 1)
+      execute_process(
+        COMMAND ${CMAKE_COMMAND} -E env CRSAT_NO_INCREMENTAL=${no_incremental}
+          ${CRSAT_CLI} debug "${schema_file}" "${class}"
+        RESULT_VARIABLE debug_exit
+        OUTPUT_VARIABLE debug_out
+        ERROR_QUIET)
+      if(NOT debug_exit EQUAL 0 OR NOT debug_out STREQUAL expected)
+        message(FATAL_ERROR "CRSAT_NO_INCREMENTAL=${no_incremental} crsat_cli "
+          "debug ${schema}.cr ${class}: exit ${debug_exit}, output differs "
+          "from tests/golden/${golden_name}:\n${debug_out}")
+      endif()
+    endforeach()
   endforeach()
 endforeach()
 list(SORT golden_files)

@@ -1,10 +1,12 @@
 // Randomized cross-validation of the reasoning pipeline: the fixpoint
 // engine against the paper's Theorem 3.4 enumeration, the full method
 // against the Lenzerini-Nobili baseline on its fragment, and satisfiability
-// verdicts against actually materialized (and checked) models.
+// verdicts against actually materialized (and checked) models, and schema
+// debugging with its Lenzerini-Nobili probe stage against the cold path.
 
 #include <gtest/gtest.h>
 
+#include "src/base/incremental.h"
 #include "src/baseline/ln_reasoner.h"
 #include "src/cr/model_checker.h"
 #include "src/generator/random_schema.h"
@@ -14,9 +16,13 @@
 #include "src/reasoner/unsat_core.h"
 #include "src/witness/witness.h"
 #include "tests/checked_schema.h"
+#include "tests/debug_digest.h"
 
 namespace crsat {
 namespace {
+
+using crsat::testing::CheckedSchema;
+using crsat::testing::DebugDigest;
 
 class FixpointVsEnumerationTest : public ::testing::TestWithParam<int> {};
 
@@ -267,6 +273,87 @@ TEST_P(RepairSoundnessTest, CoresMinimalOnRandomUnsatClasses) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RepairSoundnessTest,
                          ::testing::Range(0, 12));
+
+// The three shapes of schema the debugging probes see: ISA-free (every
+// probe takes the Lenzerini-Nobili stage), random ISA hierarchies (a probe
+// does once it has erased the last ISA statement), and the paper's
+// Figure-1 gadget beside ISA-free random classes, with C0 placed under the
+// gadget in every other seed.
+enum class DebugFamily { kIsaFree, kIsa, kFigure1 };
+
+Schema DebuggingSchema(DebugFamily family, std::uint32_t seed) {
+  RandomSchemaParams params;
+  params.seed = seed;
+  // Small on purpose: the cold path expands every probe, and an ISA-free
+  // schema expands to every subset of its classes.
+  params.num_classes = family == DebugFamily::kFigure1 ? 1 : 3;
+  params.num_relationships = 2;
+  params.isa_density = family == DebugFamily::kIsa ? 0.4 : 0.0;
+  params.primary_card_probability = 0.9;
+  params.refinement_probability = family == DebugFamily::kIsa ? 0.6 : 0.0;
+  params.max_min_card = 3;
+  params.max_card_slack = 1;
+  params.infinite_max_probability = 0.1;
+  Schema schema = GenerateRandomSchema(params).value();
+  if (family != DebugFamily::kFigure1) {
+    return schema;
+  }
+  SchemaBuilder builder = schema.ToBuilder();
+  builder.AddClass("F1");
+  builder.AddClass("F2");
+  builder.AddIsa("F2", "F1");
+  if (seed % 2 == 1) {
+    builder.AddIsa("C0", "F2");
+  }
+  builder.AddRelationship("Fig1", {{"Fig1_V1", "F1"}, {"Fig1_V2", "F2"}});
+  builder.SetCardinality("F1", "Fig1", "Fig1_V1", {2, std::nullopt});
+  builder.SetCardinality("F2", "Fig1", "Fig1_V2", {0, 1});
+  return builder.Build().value();
+}
+
+class DebuggingEquivalenceTest
+    : public ::testing::TestWithParam<DebugFamily> {};
+
+TEST_P(DebuggingEquivalenceTest, FastPathProbesMatchColdProbes) {
+  // Cores compare by kind, index and description, repairs by action,
+  // relaxed bound and description, on the first unsatisfiable class of
+  // the first 70 seeds that have one.
+  constexpr int kSchemasWithUnsat = 70;
+  int with_unsat = 0;
+  std::uint32_t seed = 7000;
+  for (; with_unsat < kSchemasWithUnsat && seed < 9000; ++seed) {
+    const Schema schema = DebuggingSchema(GetParam(), seed);
+    CheckedSchema checked(schema);
+    const std::vector<bool> satisfiable =
+        checked.checker.SatisfiableClasses().value();
+    int first_unsat = 0;
+    while (first_unsat < schema.num_classes() && satisfiable[first_unsat]) {
+      ++first_unsat;
+    }
+    if (first_unsat == schema.num_classes()) {
+      continue;
+    }
+    ++with_unsat;
+    const ClassId cls(first_unsat);
+    const UnsatCore core = MinimizeUnsatCore(schema, cls).value();
+    EXPECT_FALSE(core.constraints.empty()) << "seed " << seed;
+    const std::string fast =
+        DebugDigest(core, SuggestRepairs(schema, cls, core).value());
+    ScopedIncrementalOverride off(false);
+    const UnsatCore cold_core = MinimizeUnsatCore(schema, cls).value();
+    EXPECT_EQ(
+        DebugDigest(cold_core,
+                    SuggestRepairs(schema, cls, cold_core).value()),
+        fast)
+        << "seed " << seed << ", class " << schema.ClassName(cls);
+  }
+  EXPECT_EQ(with_unsat, kSchemasWithUnsat) << "seeds up to " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, DebuggingEquivalenceTest,
+                         ::testing::Values(DebugFamily::kIsaFree,
+                                           DebugFamily::kIsa,
+                                           DebugFamily::kFigure1));
 
 }  // namespace
 }  // namespace crsat

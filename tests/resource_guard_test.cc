@@ -4,11 +4,13 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/failpoint.h"
+#include "src/base/incremental.h"
 #include "src/base/thread_pool.h"
 #include "src/cr/schema_text.h"
 #include "src/cr/text_lexer.h"
@@ -16,12 +18,17 @@
 #include "src/lp/linear_system.h"
 #include "src/lp/simplex.h"
 #include "src/reasoner/implication_engine.h"
+#include "src/reasoner/repair.h"
 #include "src/reasoner/satisfiability.h"
+#include "src/reasoner/unsat_core.h"
+#include "tests/debug_digest.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
 namespace {
 
+using crsat::testing::DebugDigest;
+using crsat::testing::IsaFreeUnsatSchema;
 using crsat::testing::MeetingSchema;
 
 LinearExpr Expr(std::vector<std::pair<VarId, std::int64_t>> terms,
@@ -214,6 +221,84 @@ TEST(ResourceGuardPipelineTest, SatisfiabilityReportsTripFromSharedGuard) {
   Result<std::vector<bool>> verdicts = checker.SatisfiableClasses();
   ASSERT_FALSE(verdicts.ok());
   EXPECT_EQ(verdicts.status().code(), StatusCode::kCancelled);
+}
+
+// The schema-debugging probes of an ISA-free schema never expand, so the
+// `unsat_core/probe` poll is the only one they make: a cancelled guard
+// and every `guard/trip` schedule must stop both the core and the repair
+// search there with the trip's status, never with a partial answer.
+TEST(ResourceGuardPipelineTest, UnsatCoreProbesObserveTheGuard) {
+  ScopedIncrementalOverride on(true);
+  Schema schema = IsaFreeUnsatSchema();
+  ClassId a = schema.FindClass("A").value();
+  const UnsatCore core = MinimizeUnsatCore(schema, a).value();
+  const std::vector<RepairSuggestion> repairs =
+      SuggestRepairs(schema, a, core).value();
+
+  {
+    ResourceGuard guard;
+    guard.RequestCancel();
+    ExpansionOptions options;
+    options.guard = &guard;
+    Result<UnsatCore> cancelled = MinimizeUnsatCore(schema, a, options);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(guard.report().site, "unsat_core/probe");
+    Result<std::vector<RepairSuggestion>> no_repairs =
+        SuggestRepairs(schema, a, core, options);
+    ASSERT_FALSE(no_repairs.ok());
+    EXPECT_EQ(no_repairs.status().code(), StatusCode::kCancelled);
+  }
+
+  // Runs `call` under a guard that trips on its `nth` poll; true once
+  // `nth` is past the call's last poll and it answered in full.
+  auto survives = [](std::uint64_t nth, const auto& call,
+                     const std::string& expected) {
+    ResourceGuard guard;
+    ExpansionOptions options;
+    options.guard = &guard;
+    ScopedFailpoint trip("guard/trip", nth);
+    EXPECT_TRUE(trip.status().ok());
+    Result<std::string> digest = call(options);
+    if (digest.ok()) {
+      EXPECT_FALSE(guard.tripped()) << "nth=" << nth;
+      EXPECT_EQ(*digest, expected) << "nth=" << nth;
+      return true;
+    }
+    EXPECT_EQ(digest.status().ToString(), guard.TripStatus().ToString())
+        << "nth=" << nth;
+    EXPECT_EQ(digest.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(guard.report().site, "unsat_core/probe") << "nth=" << nth;
+    return false;
+  };
+  auto core_digest =
+      [&](const ExpansionOptions& options) -> Result<std::string> {
+    CRSAT_ASSIGN_OR_RETURN(UnsatCore found,
+                           MinimizeUnsatCore(schema, a, options));
+    return DebugDigest(found, {});
+  };
+  auto repairs_digest =
+      [&](const ExpansionOptions& options) -> Result<std::string> {
+    CRSAT_ASSIGN_OR_RETURN(std::vector<RepairSuggestion> found,
+                           SuggestRepairs(schema, a, core, options));
+    return DebugDigest(core, found);
+  };
+  // One poll per probe: the core makes one per constraint plus one, and
+  // every earlier trip fails the whole call.
+  const std::uint64_t core_probes =
+      1 + schema.cardinality_declarations().size();
+  const std::string full_core = DebugDigest(core, {});
+  for (std::uint64_t nth = 1; nth <= core_probes; ++nth) {
+    EXPECT_FALSE(survives(nth, core_digest, full_core)) << "nth=" << nth;
+  }
+  EXPECT_TRUE(survives(core_probes + 1, core_digest, full_core));
+  const std::string full_repairs = DebugDigest(core, repairs);
+  std::uint64_t nth = 1;
+  while (!survives(nth, repairs_digest, full_repairs) && nth < 1000) {
+    ++nth;
+  }
+  EXPECT_GT(nth, 1u);
+  EXPECT_LT(nth, 1000u);
 }
 
 // ---------------------------------------------------------------------------

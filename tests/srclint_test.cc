@@ -154,6 +154,21 @@ TEST(SrclintRuleTest, ServerLayeringIgnoresLayeringExemptions) {
                   .empty());
 }
 
+TEST(SrclintRuleTest, BaselineSitsBelowTheReasoner) {
+  // The reasoner asks the Lenzerini-Nobili baseline first, so the
+  // baseline may reach only the LP layer's acceptable-support fixpoint,
+  // never back into the reasoner.
+  EXPECT_TRUE(CheckSource("src/reasoner/unsat_core.cc",
+                          "#include \"src/baseline/fast_path.h\"\n")
+                  .empty());
+  EXPECT_TRUE(CheckSource("src/baseline/ln_reasoner.cc",
+                          "#include \"src/lp/homogeneous.h\"\n")
+                  .empty());
+  EXPECT_TRUE(Rules(CheckSource("src/baseline/ln_reasoner.cc",
+                                "#include \"src/reasoner/satisfiability.h\"\n"))
+                  .count("include-layering"));
+}
+
 TEST(SrclintRuleTest, SaturationLayeringViolationCaught) {
   std::vector<Finding> findings =
       CheckTree(Testdata("saturationlayering_violation"));

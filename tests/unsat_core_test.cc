@@ -6,13 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/empty_classes.h"
+#include "src/base/incremental.h"
+#include "src/baseline/fast_path.h"
+#include "src/cr/schema_text.h"
+#include "src/reasoner/repair.h"
 #include "src/reasoner/satisfiability.h"
+#include "tests/debug_digest.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
 namespace {
 
+using crsat::testing::DebugDigest;
 using crsat::testing::Figure1Schema;
+using crsat::testing::IsaFreeUnsatSchema;
 using crsat::testing::MeetingSchema;
 using crsat::testing::MeetingSchemaWithEagerDiscussants;
 
@@ -160,6 +168,76 @@ TEST(UnsatCoreTest, CoveringCoreFound) {
   }
   EXPECT_TRUE(has_covering);
   ExpectCoreIsMinimal(schema, person, core);
+}
+
+// Core and repairs of `cls` as `debug` computes them, as one digest.
+std::string DebugDigestFor(const Schema& schema, ClassId cls,
+                           const ExpansionOptions& options = {}) {
+  const UnsatCore core = MinimizeUnsatCore(schema, cls, options).value();
+  return DebugDigest(core, SuggestRepairs(schema, cls, core, options).value());
+}
+
+TEST(UnsatCoreTest, IsaFreeProbesSkipTheExpansion) {
+  // Every probe of an ISA-free schema is decided by the Lenzerini-Nobili
+  // baseline: the check of the schema itself plus one per constraint.
+  ScopedIncrementalOverride on(true);
+  Schema schema = IsaFreeUnsatSchema();
+  ClassId a = schema.FindClass("A").value();
+  GetFastPathStats().Reset();
+  const UnsatCore core = MinimizeUnsatCore(schema, a).value();
+  EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(),
+            1 + schema.cardinality_declarations().size());
+  ExpectCoreIsMinimal(schema, a, core);
+  const std::string fast =
+      DebugDigest(core, SuggestRepairs(schema, a, core).value());
+
+  // The cold path expands every probe and reaches the same answers.
+  ScopedIncrementalOverride off(false);
+  GetFastPathStats().Reset();
+  EXPECT_EQ(DebugDigestFor(schema, a), fast);
+  EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(), 0u);
+}
+
+TEST(UnsatCoreTest, ProbeThatErasesTheLastIsaTakesTheFastPath) {
+  // Figure 1 has one ISA statement: the probe without it is ISA-free and
+  // skips the expansion; the check of the schema itself and the two
+  // cardinality probes keep the ISA and are expanded.
+  ScopedIncrementalOverride on(true);
+  Schema schema = Figure1Schema();
+  ClassId c = schema.FindClass("C").value();
+  GetFastPathStats().Reset();
+  UnsatCore core = MinimizeUnsatCore(schema, c).value();
+  EXPECT_EQ(core.constraints.size(), 3u);
+  EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(), 1u);
+}
+
+TEST(UnsatCoreTest, ProvablyEmptyFactsOfTheInputDoNotReachTheProbes) {
+  // C is empty by the Figure-1 argument, and the provably-empty analysis
+  // knows it. Those facts describe this schema, not the edits of it that
+  // the probes check: dropping `isa C < B` makes C satisfiable, so a probe
+  // that still pruned C would keep it empty and lose every constraint
+  // from the core.
+  Schema schema = ParseSchema(
+                      "schema S {\n"
+                      "  class B; class C;\n"
+                      "  isa C < B;\n"
+                      "  relationship R(U: B, V: B);\n"
+                      "  card B in R.U = (2, *);\n"
+                      "  card C in R.U = (0, 1);\n"
+                      "}\n")
+                      .value()
+                      .schema;
+  ClassId c = schema.FindClass("C").value();
+  const std::vector<bool> known_empty =
+      ComputeProvablyEmpty(schema).class_empty;
+  ASSERT_TRUE(known_empty[c.value]);
+  ExpansionOptions options;
+  options.known_empty_classes = &known_empty;
+  const std::string plain = DebugDigestFor(schema, c);
+  EXPECT_EQ(MinimizeUnsatCore(schema, c).value().constraints.size(), 3u);
+  EXPECT_EQ(DebugDigestFor(schema, c, options), plain);
+  ScopedIncrementalOverride off(false);
+  EXPECT_EQ(DebugDigestFor(schema, c, options), plain);
 }
 
 }  // namespace

@@ -273,9 +273,12 @@ constexpr LayerRule kLayering[] = {
     {"flow", "base math"},
     {"lp", "base math"},
     {"expansion", "base math cr"},
-    {"reasoner", "base math cr lp expansion witness"},
+    // The reasoner may ask the Lenzerini-Nobili baseline first (check's
+    // and the unsat-core probes' ISA-free fast path); the baseline itself
+    // needs only the LP layer's acceptable-support fixpoint.
+    {"reasoner", "base math cr lp expansion witness baseline"},
     {"witness", "base math cr lp flow expansion reasoner"},
-    {"baseline", "base math cr lp reasoner"},
+    {"baseline", "base math cr lp"},
     // The conformance ground truth: bare CR semantics only. Including
     // expansion/, lp/, or flow/ here would let the system under test
     // leak into its own oracle (see src/CMakeLists.txt layering).
