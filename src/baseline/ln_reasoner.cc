@@ -101,11 +101,10 @@ Result<LnReasoner::Solution> LnReasoner::AcceptableIntegerSolution() const {
   CRSAT_ASSIGN_OR_RETURN(
       AcceptableSupport support,
       ComputeAcceptableSupport(
-          system_, BuildDependencies(*schema_, class_vars_, rel_vars_)));
-  CRSAT_ASSIGN_OR_RETURN(
-      std::vector<Rational> witness,
-      MinimalWitnessForSupport(system_, support.positive, support.witness));
-  std::vector<BigInt> integers = ScaleToIntegerSolution(witness);
+          system_, BuildDependencies(*schema_, class_vars_, rel_vars_),
+          /*probe_cache=*/nullptr, /*guard=*/nullptr, /*seed_zero=*/nullptr,
+          /*minimal_witness=*/true));
+  std::vector<BigInt> integers = ScaleToIntegerSolution(support.witness);
   Solution solution;
   for (VarId var : class_vars_) {
     solution.class_counts.push_back(integers[var]);

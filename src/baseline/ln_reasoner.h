@@ -35,8 +35,10 @@ class LnReasoner {
   /// One flag per class, from a single support computation.
   Result<std::vector<bool>> SatisfiableClasses() const;
 
-  /// The per-class / per-relationship instance counts of an acceptable
-  /// integer solution with maximal support.
+  /// The per-class / per-relationship instance counts of the minimal
+  /// acceptable integer solution with maximal support: one support
+  /// computation, whose cover LP yields the minimal witness in its second
+  /// stage (`SatisfiableClasses` skips that stage).
   struct Solution {
     std::vector<BigInt> class_counts;
     std::vector<BigInt> rel_counts;

@@ -136,7 +136,8 @@ std::vector<BigInt> ScaleSolution(const std::vector<BigInt>& values,
 
 Result<SupportResult> ComputeMaximalSupport(
     const LinearSystem& system, const std::vector<bool>& forced_zero,
-    WarmStartBasisCache* basis_cache, ResourceGuard* guard) {
+    WarmStartBasisCache* basis_cache, ResourceGuard* guard,
+    bool minimal_witness) {
   if (!system.IsHomogeneous()) {
     return InvalidArgumentError(
         "ComputeMaximalSupport requires a homogeneous system");
@@ -225,6 +226,10 @@ Result<SupportResult> ComputeMaximalSupport(
   // or two variables each. Verdict-equivalent — the maximal support is
   // unique — but kept behind the incremental gate so the forced-cold
   // reference path preserves the historical probe sequence.
+  // Minimal witness: on the optimal face y_u = 0 wherever u is
+  // supportable (so x_u >= 1) and x_u = 0 elsewhere, so a second stage
+  // minimizing sum(x) on that face yields the least solution with x_u >= 1
+  // on the support: the witness the integer stage scales.
   // A cover-LP failure — injected via `lp/support_cover_fail`, or a
   // genuine non-resource failure — degrades to the per-group probe
   // rounds below (rung 0 -> 1) instead of erroring out: the rounds
@@ -235,9 +240,13 @@ Result<SupportResult> ComputeMaximalSupport(
     const int nu = pinned.num_variables();
     LinearSystem covered = pinned;
     LinearExpr total_deficit;
+    LinearExpr total;
     std::vector<VarId> crash_vars;
     crash_vars.reserve(nu);
     for (VarId u = 0; u < nu; ++u) {
+      if (minimal_witness) {
+        total.AddTerm(u, Rational(1));
+      }
       VarId y = covered.AddVariable("y_" + pinned.VariableName(u),
                                     /*nonnegative=*/true);
       LinearExpr cover = LinearExpr::Var(y);
@@ -254,6 +263,9 @@ Result<SupportResult> ComputeMaximalSupport(
     // y = 1, x = 0 is feasible, and each y's unit column evicts its row's
     // artificial in one sparse pivot: the crash makes phase 1 a no-op.
     options.crash_vars = &crash_vars;
+    if (minimal_witness) {
+      options.then_minimize = &total;
+    }
     WarmStartBasis carry;
     WarmStartBasis exported;
     if (basis_cache != nullptr) {
@@ -286,6 +298,7 @@ Result<SupportResult> ComputeMaximalSupport(
           result.witness[from_probe[u]] = lp->values[u];
           result.positive[from_probe[u]] = lp->values[u].IsPositive();
         }
+        result.witness_is_minimal = minimal_witness;
         return result;
       }
     }
@@ -382,10 +395,15 @@ Result<SupportResult> ComputeMaximalSupport(
   return result;
 }
 
+namespace {
+
+// The least solution of `system` with every `positive` variable >= 1 and
+// every other one 0: the cover LP's second stage, for a support the probe
+// rounds decided. Falls back to `fallback` if the LP is not optimal
+// (cannot happen for a correct support; defensive).
 Result<std::vector<Rational>> MinimalWitnessForSupport(
     const LinearSystem& system, const std::vector<bool>& positive,
-    const std::vector<Rational>& fallback, ResourceGuard* guard,
-    WarmStartBasis* basis_carry) {
+    const std::vector<Rational>& fallback, ResourceGuard* guard) {
   LinearSystem pinned = system;
   LinearExpr total;
   for (VarId v = 0; v < pinned.num_variables(); ++v) {
@@ -400,29 +418,21 @@ Result<std::vector<Rational>> MinimalWitnessForSupport(
   }
   SimplexOptions options;
   options.guard = guard;
-  WarmStartBasis exported;
-  if (basis_carry != nullptr) {
-    if (!basis_carry->empty()) {
-      options.warm_start = basis_carry;
-    }
-    options.export_basis = &exported;
-  }
   CRSAT_ASSIGN_OR_RETURN(
       LpResult lp,
       SimplexSolver::SolveWith(pinned, total, /*maximize=*/false, options));
   if (lp.outcome != LpOutcome::kOptimal) {
     return fallback;
   }
-  if (basis_carry != nullptr && !exported.empty()) {
-    *basis_carry = std::move(exported);
-  }
   return std::move(lp.values);
 }
+
+}  // namespace
 
 Result<AcceptableSupport> ComputeAcceptableSupport(
     const LinearSystem& system, const std::vector<Dependency>& dependencies,
     WarmStartBasisCache* probe_cache, ResourceGuard* guard,
-    const std::vector<bool>* seed_zero) {
+    const std::vector<bool>* seed_zero, bool minimal_witness) {
   const int n = system.num_variables();
   std::vector<bool> forced_zero =
       seed_zero != nullptr ? *seed_zero : std::vector<bool>(n, false);
@@ -434,7 +444,8 @@ Result<AcceptableSupport> ComputeAcceptableSupport(
     // and across calls on similarly-pinned systems.
     CRSAT_ASSIGN_OR_RETURN(
         support,
-        ComputeMaximalSupport(system, forced_zero, probe_cache, guard));
+        ComputeMaximalSupport(system, forced_zero, probe_cache, guard,
+                              minimal_witness));
     // (a) Variables the LP proves zero under the current pinning are zero
     // in every acceptable solution (every acceptable solution satisfies
     // the pinned system). Pinning them does not change the LP's maximal
@@ -466,8 +477,19 @@ Result<AcceptableSupport> ComputeAcceptableSupport(
     }
   }
   AcceptableSupport result;
-  result.positive = support.positive;
+  result.positive = std::move(support.positive);
   result.witness = std::move(support.witness);
+  // The last LP's support is the final one, so a minimal witness from its
+  // second stage is the answer; the probe rounds leave a sum of vertices.
+  // An empty support's zero witness is minimal already.
+  if (minimal_witness && !support.witness_is_minimal &&
+      std::find(result.positive.begin(), result.positive.end(), true) !=
+          result.positive.end()) {
+    CRSAT_ASSIGN_OR_RETURN(
+        result.witness,
+        MinimalWitnessForSupport(system, result.positive, result.witness,
+                                 guard));
+  }
   return result;
 }
 

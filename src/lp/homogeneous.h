@@ -64,6 +64,10 @@ struct SupportResult {
   /// A single solution realizing the full support simultaneously (the sum
   /// of per-variable witnesses; valid because the solution set is a cone).
   std::vector<Rational> witness;
+  /// True when `witness` is a *minimal* witness: `>= 1` on every supported
+  /// variable, with the least total among such solutions. Only the cover
+  /// LP's second stage produces one (see `ComputeMaximalSupport`).
+  bool witness_is_minimal = false;
 };
 
 /// Computes, for a homogeneous non-strict `system` with nonnegative
@@ -95,10 +99,16 @@ struct SupportResult {
 /// `guard`, when non-null, is polled between probe rounds and per pivot
 /// inside each probe's solve; a trip aborts the computation with the
 /// guard's status.
+///
+/// `minimal_witness` asks the cover LP for a second stage
+/// (`SimplexOptions::then_minimize`): on its optimal face every supported
+/// variable is `>= 1` and every other one is 0, so minimizing their sum
+/// there leaves the minimal witness in `witness` (`witness_is_minimal`).
+/// The probe rounds never produce one.
 Result<SupportResult> ComputeMaximalSupport(
     const LinearSystem& system, const std::vector<bool>& forced_zero,
     WarmStartBasisCache* basis_cache = nullptr,
-    ResourceGuard* guard = nullptr);
+    ResourceGuard* guard = nullptr, bool minimal_witness = false);
 
 /// The maximal support realizable by an *acceptable* solution of a
 /// homogeneous system (Section 3.3: a solution is acceptable if every
@@ -109,7 +119,8 @@ struct AcceptableSupport {
   /// value — equivalently (acceptable solutions are closed under addition)
   /// iff the maximum-support acceptable solution does.
   std::vector<bool> positive;
-  /// One acceptable solution whose support is exactly `positive`.
+  /// One acceptable solution whose support is exactly `positive`; the
+  /// minimal one when the computation was asked for it.
   std::vector<Rational> witness;
 };
 
@@ -119,24 +130,6 @@ struct Dependency {
   VarId dependent;
   std::vector<VarId> depends_on;
 };
-
-/// Returns a *minimal* solution of `system` whose support is exactly
-/// `positive`: support variables are pinned to `>= 1`, the others to 0,
-/// and the total is minimized in a single LP. Used to keep integer
-/// witnesses (and the models built from them) small — the raw accumulated
-/// support witness is a sum of many LP vertices whose denominators
-/// multiply up. Falls back to `fallback` if the LP is not optimal (cannot
-/// happen for a correct support; defensive).
-///
-/// `basis_carry`, when non-null, threads a warm-start basis across
-/// successive calls on same-shaped pinned systems (the witness
-/// synthesizer's repeated syntheses over one expansion): a carried basis
-/// skips phase 1, and an optimal solve writes its final basis back. A
-/// stale or mismatched carry only costs a rejected warm-start attempt.
-Result<std::vector<Rational>> MinimalWitnessForSupport(
-    const LinearSystem& system, const std::vector<bool>& positive,
-    const std::vector<Rational>& fallback, ResourceGuard* guard = nullptr,
-    WarmStartBasis* basis_carry = nullptr);
 
 /// Computes the maximal acceptable support of a homogeneous non-strict
 /// `system` under the given dependencies.
@@ -163,10 +156,20 @@ Result<std::vector<Rational>> MinimalWitnessForSupport(
 ///
 /// `guard`, when non-null, bounds the whole fixpoint (it is handed down to
 /// every LP probe; see `ComputeMaximalSupport`).
+///
+/// `minimal_witness` makes `witness` the *minimal* acceptable solution
+/// with support `positive`: every supported variable `>= 1`, least total.
+/// Minimal witnesses keep the integer scaling, and the models built from
+/// it, small; the fixpoint's last cover LP yields one in its second stage
+/// for about two extra pivots. When that LP did not run (the probe rounds
+/// decided: `CRSAT_NO_INCREMENTAL`, or a cover failure) one more LP
+/// minimizes the total with the support pinned. Verdict-only callers pass
+/// false and keep whatever solution the last LP left.
 Result<AcceptableSupport> ComputeAcceptableSupport(
     const LinearSystem& system, const std::vector<Dependency>& dependencies,
     WarmStartBasisCache* probe_cache = nullptr, ResourceGuard* guard = nullptr,
-    const std::vector<bool>* seed_zero = nullptr);
+    const std::vector<bool>* seed_zero = nullptr,
+    bool minimal_witness = false);
 
 }  // namespace crsat
 

@@ -500,11 +500,21 @@ class Tableau {
     if (!AnyArtificialBasic()) {
       live_columns_ = layout_->num_with_slacks;
     }
-    std::vector<Scalar> costs(layout_->num_columns, Scalar());
-    for (int j = 0; j < layout_->num_structural; ++j) {
-      costs[j] = structural_costs[j];
+    return MinimizeStructural(structural_costs);
+  }
+
+  // The lexicographic second stage, run after phase 2 ended optimal. With
+  // the primary's reduced costs d >= 0 the primary objective reads
+  // z* + sum d_j x_j over the nonbasic columns, so its optimal face is
+  // x_j = 0 wherever d_j > 0: those columns are barred, and a pivot on a
+  // column with d_j = 0 leaves d unchanged, so the face stays exactly
+  // that. `structural_costs` is then minimized over it.
+  RunOutcome SolveSecondStage(const std::vector<Scalar>& structural_costs) {
+    barred_.assign(reduced_.size(), false);
+    for (size_t j = 0; j < reduced_.size(); ++j) {
+      barred_[j] = reduced_[j].IsPositive();
     }
-    return RunSimplex(costs, /*allow_artificials=*/false);
+    return MinimizeStructural(structural_costs);
   }
 
   // Extracts per-user-variable values from the current basic solution.
@@ -578,6 +588,14 @@ class Tableau {
     }
   }
 
+  RunOutcome MinimizeStructural(const std::vector<Scalar>& structural_costs) {
+    std::vector<Scalar> costs(layout_->num_columns, Scalar());
+    for (int j = 0; j < layout_->num_structural; ++j) {
+      costs[j] = structural_costs[j];
+    }
+    return RunSimplex(costs, /*allow_artificials=*/false);
+  }
+
   Scalar ObjectiveValue(const std::vector<Scalar>& costs) const {
     Scalar total;
     for (size_t i = 0; i < basis_.size(); ++i) {
@@ -592,9 +610,10 @@ class Tableau {
   // degenerate streak to guarantee termination (cycling can only happen
   // inside a degenerate sequence; any strict objective improvement resets
   // the streak). Artificial columns are barred from re-entering the basis
-  // in phase 2. On the fast tier the sticky overflow flag is checked once
-  // per iteration: every in-range intermediate is exact, so a run that
-  // finishes unflagged is bit-for-bit the exact tier's result.
+  // in phase 2, and `barred_` columns in the second stage. On the fast
+  // tier the sticky overflow flag is checked once per iteration: every
+  // in-range intermediate is exact, so a run that finishes unflagged is
+  // bit-for-bit the exact tier's result.
   RunOutcome RunSimplex(const std::vector<Scalar>& costs,
                         bool allow_artificials) {
     const int num_columns = live_columns_;
@@ -630,7 +649,7 @@ class Tableau {
         if (!allow_artificials && IsArtificial(j)) {
           continue;
         }
-        if (!reduced_[j].IsNegative()) {
+        if (!reduced_[j].IsNegative() || (!barred_.empty() && barred_[j])) {
           continue;
         }
         if (use_bland) {
@@ -799,6 +818,9 @@ class Tableau {
   std::vector<Scalar> rhs_;
   std::vector<int> basis_;
   std::vector<Scalar> reduced_;
+  // Columns the second stage may not enter (off the primary's optimal
+  // face); empty before it starts.
+  std::vector<bool> barred_;
   // Row bitsets, `row_words_` words per column: bit i of column j is set
   // iff Cell(i, j) is nonzero. Columns at or past `live_columns_` go
   // stale once phase 2 shrinks the sweep, like their cells.
@@ -842,24 +864,36 @@ struct WarmDisposition {
                                  // this tier ran a cold phase 1 instead.
 };
 
-// Runs a full two-phase solve on one arithmetic tier. On kCompleted,
-// `*out` holds the verdict (values filled for kOptimal); on every outcome
-// `*counts` holds the attempt's pivots, which the caller flushes to the
-// global counters.
+template <typename Scalar>
+bool NarrowCosts(const std::vector<Rational>& costs, std::vector<Scalar>* out) {
+  out->assign(costs.size(), Scalar());
+  for (size_t j = 0; j < costs.size(); ++j) {
+    if (!ScalarOps<Scalar>::FromRational(costs[j], &(*out)[j])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Runs a full two-phase solve on one arithmetic tier, then the second
+// stage when `then_costs` is non-empty. On kCompleted, `*out` holds the
+// verdict (values filled for kOptimal); on every outcome `*counts` holds
+// the attempt's pivots, which the caller flushes to the global counters.
 template <typename Scalar>
 TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
                         const std::vector<Rational>& structural_costs,
+                        const std::vector<Rational>& then_costs,
                         const SimplexOptions& options, LpResult* out,
                         TierPivots* counts, WarmDisposition* warm) {
   ScalarOps<Scalar>::ClearOverflow();
   *counts = TierPivots();
   *warm = WarmDisposition();
 
-  std::vector<Scalar> costs(structural_costs.size(), Scalar());
-  for (size_t j = 0; j < structural_costs.size(); ++j) {
-    if (!ScalarOps<Scalar>::FromRational(structural_costs[j], &costs[j])) {
-      return TierOutcome::kOverflow;
-    }
+  std::vector<Scalar> costs;
+  std::vector<Scalar> second_costs;
+  if (!NarrowCosts(structural_costs, &costs) ||
+      !NarrowCosts(then_costs, &second_costs)) {
+    return TierOutcome::kOverflow;
   }
 
   // Charge the dominant allocation (the tableau cells, the maintained rows
@@ -982,6 +1016,9 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
   }
 
   RunOutcome phase2 = tableau.SolvePhase2(costs);
+  if (phase2 == RunOutcome::kOptimal && !second_costs.empty()) {
+    phase2 = tableau.SolveSecondStage(second_costs);
+  }
   count();
   if (phase2 == RunOutcome::kOverflow) {
     return TierOutcome::kOverflow;
@@ -1023,6 +1060,21 @@ void RecordWarmDisposition(SimplexStats& stats, const WarmDisposition& warm) {
   }
 }
 
+// Structural-column costs whose minimization is that of +/- `objective`.
+std::vector<Rational> StructuralCosts(const TableauLayout& layout,
+                                      const LinearExpr& objective,
+                                      bool maximize) {
+  std::vector<Rational> costs(layout.num_structural, Rational());
+  for (const auto& [var, coeff] : objective.terms()) {
+    Rational c = maximize ? -coeff : coeff;
+    costs[layout.column_of_var[var]] += c;
+    if (layout.neg_column_of_var[var] >= 0) {
+      costs[layout.neg_column_of_var[var]] -= c;
+    }
+  }
+  return costs;
+}
+
 // The body of SolveWith. Kept separate so the public entry point can
 // wrap it in the std::bad_alloc -> kResourceExhausted boundary: callers
 // fan solves out over ThreadPool workers, and an exception escaping a
@@ -1051,15 +1103,12 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   }
 
   TableauLayout layout(system);
-
-  // Structural costs for minimization of +/- objective.
-  std::vector<Rational> costs(layout.num_structural, Rational());
-  for (const auto& [var, coeff] : objective.terms()) {
-    Rational c = maximize ? -coeff : coeff;
-    costs[layout.column_of_var[var]] += c;
-    if (layout.neg_column_of_var[var] >= 0) {
-      costs[layout.neg_column_of_var[var]] -= c;
-    }
+  const std::vector<Rational> costs =
+      StructuralCosts(layout, objective, maximize);
+  std::vector<Rational> then_costs;
+  if (options.then_minimize != nullptr) {
+    then_costs = StructuralCosts(layout, *options.then_minimize,
+                                 /*maximize=*/false);
   }
 
   TierPivots tier;
@@ -1082,7 +1131,7 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   if (try_fast_tier) {
     LpResult fast;
     TierOutcome outcome = SolveOnTier<SmallRational>(
-        system, layout, costs, effective, &fast, &tier, &warm);
+        system, layout, costs, then_costs, effective, &fast, &tier, &warm);
     flush();
     if (outcome == TierOutcome::kTripped) {
       // The trip is sticky; an exact-tier restart would trip immediately.
@@ -1102,7 +1151,7 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
 
   LpResult exact;
   TierOutcome outcome = SolveOnTier<Rational>(
-      system, layout, costs, effective, &exact, &tier, &warm);
+      system, layout, costs, then_costs, effective, &exact, &tier, &warm);
   flush();
   if (outcome == TierOutcome::kTripped) {
     return effective.guard->TripStatus();

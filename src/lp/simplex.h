@@ -167,6 +167,16 @@ struct SimplexOptions {
   /// no-op. Purely an acceleration: a crash that does not land feasible
   /// falls through to the ordinary cold phase 1.
   const std::vector<VarId>* crash_vars = nullptr;
+  /// When non-null, a lexicographic second stage: once the primary
+  /// objective is optimal, every nonbasic column whose reduced cost is
+  /// positive is barred from entering (what remains reachable is exactly
+  /// the primary's optimal face), and `*then_minimize` is minimized on the
+  /// same tableau. The result is a vertex of that face with the least
+  /// secondary value; `LpResult::objective` stays the primary's value, and
+  /// a secondary unbounded on the face reports `kUnbounded`. A fast-tier
+  /// overflow in either stage restarts the whole solve on `Rational`, and
+  /// `export_basis` receives the basis the second stage ends on.
+  const LinearExpr* then_minimize = nullptr;
   /// Optional resource guard (src/base/resource_guard.h), polled once per
   /// pivot. A tripped guard aborts the solve — including the exact-tier
   /// fallback — and `SolveWith` returns the guard's trip status

@@ -165,6 +165,7 @@ Result<bool> CardinalityImplicationEngine::AuxiliarySatisfiable(
       CardinalityOverride{aux_class_, rel_, role_, cardinality}};
   SatisfiabilityChecker checker(*expansion_, &overrides);
   checker.SetProbeBasisCache(&carry_cache_);
+  checker.SetMinimalWitness(false);  // Probes read verdicts only.
   return checker.IsTargetSatisfiable(aux_targets_);
 }
 
@@ -254,6 +255,7 @@ Result<bool> CardinalityImplicationEngine::IsBaseClassSatisfiable() const {
     // classes' satisfiability (it can always be empty), so the extended
     // expansion answers for the base schema directly.
     SatisfiabilityChecker checker(*expansion_);
+    checker.SetMinimalWitness(false);
     CRSAT_ASSIGN_OR_RETURN(base_satisfiable_,
                            checker.IsTargetSatisfiable(base_targets_));
   }

@@ -98,7 +98,8 @@ Result<AcceptableSupport> SatisfiabilityChecker::ComputeSupport(
   }
   return ComputeAcceptableSupport(cr_system_.system, dependencies_,
                                   probe_cache_, guard,
-                                  seed.empty() ? nullptr : &seed);
+                                  seed.empty() ? nullptr : &seed,
+                                  minimal_witness_);
 }
 
 Result<bool> SatisfiabilityChecker::IsClassSatisfiable(ClassId cls) const {
@@ -160,25 +161,34 @@ Result<bool> SatisfiabilityChecker::IsTargetSatisfiable(
   return false;
 }
 
-Result<IntegerSolution> SatisfiabilityChecker::AcceptableIntegerSolution()
-    const {
-  const Result<AcceptableSupport>& support = Support();
+Result<IntegerSolution> SatisfiabilityChecker::AcceptableIntegerSolution(
+    ResourceGuard* guard, IntegerScaleStats* scale_stats) const {
+  const Result<AcceptableSupport>& support = Support(guard);
   if (!support.ok()) {
     return support.status();
   }
-  // A minimal single-vertex witness keeps the scaled integers (and the
-  // models built from them) small; it is automatically acceptable because
-  // its support equals the maximal acceptable support.
-  CRSAT_ASSIGN_OR_RETURN(
-      std::vector<Rational> witness,
-      MinimalWitnessForSupport(cr_system_.system, support->positive,
-                               support->witness,
-                               expansion_->options().guard));
-  std::vector<BigInt> integers = ScaleToIntegerSolution(witness);
+  // The support witness is acceptable because its support is the maximal
+  // acceptable support, and scaling by a positive constant keeps it so.
+  std::vector<BigInt> integers =
+      ScaleToIntegerSolution(support->witness, scale_stats);
+  for (const Dependency& dependency : dependencies_) {
+    if (integers[dependency.dependent].IsZero()) {
+      continue;
+    }
+    for (VarId source : dependency.depends_on) {
+      if (integers[source].IsZero()) {
+        return InternalError(
+            "witness: integer solution is not acceptable (populated compound "
+            "relationship depends on an empty compound class)");
+      }
+    }
+  }
   IntegerSolution solution;
+  solution.class_counts.reserve(cr_system_.class_vars.size());
   for (VarId var : cr_system_.class_vars) {
     solution.class_counts.push_back(integers[var]);
   }
+  solution.rel_counts.reserve(cr_system_.rel_vars.size());
   for (VarId var : cr_system_.rel_vars) {
     solution.rel_counts.push_back(integers[var]);
   }

@@ -42,7 +42,9 @@ class SatisfiabilityChecker {
   /// `guard`, or under the expansion's guard when `guard` is null; later
   /// calls return the cached result whatever guard they pass. When every
   /// schema class is known empty (`SetKnownEmptyClasses`) the support is
-  /// empty and no LP runs. The reference lives as long as the checker.
+  /// empty and no LP runs. Its `witness` is the minimal one unless
+  /// `SetMinimalWitness(false)` was called. The reference lives as long as
+  /// the checker.
   const Result<AcceptableSupport>& Support(
       ResourceGuard* guard = nullptr) const;
 
@@ -60,10 +62,18 @@ class SatisfiabilityChecker {
       const std::vector<int>& target_class_indices) const;
 
   /// The support witness scaled to integers: an acceptable nonnegative
-  /// integer solution whose support is the maximal acceptable support.
-  /// Feed this to `WitnessSynthesizer::SynthesizeFromSolution` to
-  /// materialize an actual database state.
-  Result<IntegerSolution> AcceptableIntegerSolution() const;
+  /// integer solution whose support is the maximal acceptable support,
+  /// minimal unless `SetMinimalWitness(false)` was called. No LP runs
+  /// beyond `Support(guard)`. The acceptability side-condition (a zero
+  /// compound-class count forces every dependent relationship count to
+  /// zero) is re-verified on the integers; a failure is a pipeline bug and
+  /// returns `kInternal`. `scale_stats`, when non-null, records which
+  /// arithmetic tier scaled. Feed the result to
+  /// `WitnessSynthesizer::SynthesizeFromSolution` to materialize an actual
+  /// database state.
+  Result<IntegerSolution> AcceptableIntegerSolution(
+      ResourceGuard* guard = nullptr,
+      IntegerScaleStats* scale_stats = nullptr) const;
 
   /// The dependency edges of Psi_S (each relationship unknown depends on
   /// its component class unknowns).
@@ -89,6 +99,15 @@ class SatisfiabilityChecker {
   /// one rejected warm-start attempt. The pointee must outlive the first
   /// `Support()` call; pass before any query.
   void SetProbeBasisCache(WarmStartBasisCache* cache) { probe_cache_ = cache; }
+
+  /// Whether the support computation also yields the minimal witness (on
+  /// by default; see `ComputeAcceptableSupport`). Callers that only read
+  /// verdicts (the unsat core and repair probes, the implication engine)
+  /// turn it off: the cover LP's second stage costs them pivots and buys
+  /// nothing. Pass before any query.
+  void SetMinimalWitness(bool minimal_witness) {
+    minimal_witness_ = minimal_witness;
+  }
 
  private:
   bool IsKnownEmpty(ClassId cls) const {
@@ -122,6 +141,7 @@ class SatisfiabilityChecker {
   // callers that want concurrent queries build one checker per thread
   // over the shared (immutable) expansion.
   WarmStartBasisCache* probe_cache_ = nullptr;
+  bool minimal_witness_ = true;
   mutable std::optional<std::vector<bool>> dead_compounds_;
   mutable std::optional<Result<AcceptableSupport>> support_;
 };

@@ -89,18 +89,12 @@ Result<bool> ClassSatisfiableIn(const Schema& schema, ClassId cls,
   CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
                          Expansion::Build(schema, probe_options));
   SatisfiabilityChecker checker(expansion);
+  checker.SetMinimalWitness(false);  // Only the verdict is read.
   return checker.IsClassSatisfiable(cls);
 }
 
 Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
                                     const ExpansionOptions& options) {
-  CRSAT_ASSIGN_OR_RETURN(bool satisfiable,
-                         ClassSatisfiableIn(schema, cls, options));
-  if (satisfiable) {
-    return InvalidArgumentError("class '" + schema.ClassName(cls) +
-                                "' is satisfiable; there is no unsat core");
-  }
-
   std::vector<CoreConstraint> units;
   for (size_t i = 0; i < schema.isa_statements().size(); ++i) {
     units.push_back(CoreConstraint{
@@ -123,6 +117,22 @@ Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
         CoveringToText(schema, schema.covering_constraints()[i])});
   }
 
+  // Deletion is monotone: once a dropped unit leaves `cls` empty in a
+  // sub-schema, it is empty in `schema` too. Until then `schema` itself
+  // is probed at the first unit the sweep keeps (or after an empty
+  // sweep), so a satisfiable class is refused after two probes, not a
+  // whole sweep, and a core whose first probe drops a unit skips it.
+  bool shown_empty = false;
+  auto refuse_if_satisfiable = [&]() -> Status {
+    CRSAT_ASSIGN_OR_RETURN(bool satisfiable,
+                           ClassSatisfiableIn(schema, cls, options));
+    if (satisfiable) {
+      return InvalidArgumentError("class '" + schema.ClassName(cls) +
+                                  "' is satisfiable; there is no unsat core");
+    }
+    shown_empty = true;
+    return OkStatus();
+  };
   std::vector<bool> active(units.size(), true);
   for (size_t i = 0; i < units.size(); ++i) {
     active[i] = false;
@@ -130,9 +140,17 @@ Result<UnsatCore> MinimizeUnsatCore(const Schema& schema, ClassId cls,
                            WithActiveUnits(schema, units, active));
     CRSAT_ASSIGN_OR_RETURN(bool now_satisfiable,
                            ClassSatisfiableIn(reduced, cls, options));
-    if (now_satisfiable) {
-      active[i] = true;  // Needed: keep it in the core.
+    if (!now_satisfiable) {
+      shown_empty = true;
+      continue;
     }
+    active[i] = true;  // Needed: keep it in the core.
+    if (!shown_empty) {
+      CRSAT_RETURN_IF_ERROR(refuse_if_satisfiable());
+    }
+  }
+  if (!shown_empty) {
+    CRSAT_RETURN_IF_ERROR(refuse_if_satisfiable());
   }
 
   UnsatCore core;

@@ -45,8 +45,13 @@ struct UnsatCore {
 /// Deletion-based minimization: each constraint is tentatively dropped;
 /// if the class stays unsatisfiable the constraint is discarded for good,
 /// otherwise it is part of the core. Cost: one `ClassSatisfiableIn` probe
-/// per constraint, plus one on `schema` itself. Fails with
-/// `InvalidArgument` if `cls` is satisfiable in `schema` to begin with.
+/// per constraint, plus one on `schema` itself unless the first deletion
+/// leaves the class empty: deletion is monotone, so a class that stays
+/// empty after some deletion is empty in `schema` too, and otherwise
+/// `schema` is probed at the first constraint the sweep keeps. Fails with
+/// `InvalidArgument` if `cls` is satisfiable in `schema` to begin with,
+/// after two probes (the first deletion and `schema`), or one when there
+/// is no constraint to delete.
 ///
 /// `options.guard` bounds the whole sweep: a trip returns the guard's
 /// status, never a partial core. `options.known_empty_classes` is ignored:

@@ -7,25 +7,20 @@
 
 namespace crsat {
 
-/// Stage 1 of witness synthesis: turns the checker's cached maximal
-/// acceptable support into a *minimal* acceptable nonnegative integer
-/// solution of Psi_S.
+/// Stage 1 of witness synthesis: scales the minimal witness that the
+/// checker's cached maximal acceptable support carries to a nonnegative
+/// integer solution of Psi_S. Runs no LP beyond the support itself.
 ///
-/// Refuses with `kInvalidArgument` — before any solver work — when the
-/// support has no positive class variable (an all-unsatisfiable schema has
-/// nothing to witness; tests assert via `SimplexStats` that this path runs
-/// zero additional solves). Otherwise runs one minimization LP
-/// (`MinimalWitnessForSupport`, warm started through `basis_carry`),
-/// scales the rational solution to integers via the LCM of denominators
-/// (int64 `SmallRational` fast path with exact BigInt fallback; recorded
-/// in `stats`), and re-verifies the acceptability side-condition on the
-/// integers: a zero compound-class count with a positive dependent
-/// relationship count is a pipeline bug and fails with `kInternal`.
+/// Polls the guard at `witness/integer`, then refuses with
+/// `kInvalidArgument` when the support has no positive class variable (an
+/// all-unsatisfiable schema has nothing to witness). Otherwise it is
+/// `SatisfiabilityChecker::AcceptableIntegerSolution`: LCM scaling (int64
+/// `SmallRational` fast path with exact BigInt fallback; recorded in
+/// `stats`) and the acceptability re-check on the integers.
 ///
-/// `basis_carry` and `stats` may be null.
+/// `stats` may be null.
 Result<IntegerSolution> SolveIntegerStage(const SatisfiabilityChecker& checker,
                                           const WitnessOptions& options,
-                                          WarmStartBasis* basis_carry,
                                           WitnessStats* stats);
 
 }  // namespace crsat

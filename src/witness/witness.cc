@@ -19,13 +19,13 @@ ResourceGuard* ResolveGuard(const WitnessOptions& options,
 }  // namespace
 
 Result<CertifiedWitness> WitnessSynthesizer::Synthesize(
-    const WitnessOptions& options) {
+    const WitnessOptions& options) const {
   const Expansion& expansion = checker_->expansion();
   ResourceGuard* guard = ResolveGuard(options, expansion);
   WitnessStats stats;
   CRSAT_ASSIGN_OR_RETURN(
       IntegerSolution solution,
-      SolveIntegerStage(*checker_, options, &minimal_witness_carry_, &stats));
+      SolveIntegerStage(*checker_, options, &stats));
   CRSAT_ASSIGN_OR_RETURN(
       Interpretation interpretation,
       AssignTuples(expansion, solution, options, &stats, guard));

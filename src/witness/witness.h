@@ -22,8 +22,8 @@ struct WitnessOptions {
   std::uint64_t max_model_size = 1000000;
 
   /// Optional resource guard; overrides the expansion's own
-  /// `ExpansionOptions::guard` when non-null. Every stage — the minimal
-  /// integer LP, tuple assignment (including its max-flow refinements),
+  /// `ExpansionOptions::guard` when non-null. Every stage — the integer
+  /// scaling, tuple assignment (including its max-flow refinements),
   /// and certification — polls it, so `--witness` work respects the same
   /// deadlines/budgets as the verdict it decorates. A trip surfaces as a
   /// resource-limit status and no witness is produced.
@@ -42,10 +42,11 @@ struct WitnessOptions {
 /// The constructive half of the paper's completeness proof (Section 3.3),
 /// as a three-stage pipeline over a satisfiable schema's expansion:
 ///
-///   1. *Integer solution*: the checker's cached maximal acceptable
-///      support is turned into a minimal rational witness (one LP, warm
-///      started across calls), then scaled to nonnegative integers by the
-///      LCM of denominators — int64 fast path, exact BigInt fallback. The
+///   1. *Integer solution*: the minimal rational witness that the
+///      checker's cached maximal acceptable support carries (the cover
+///      LP's second stage; no LP runs here) is scaled to nonnegative
+///      integers by the LCM of denominators — int64 fast path, exact
+///      BigInt fallback. The
 ///      acceptability side-condition (a zero compound-class count forces
 ///      every dependent relationship count to zero) is re-verified on the
 ///      integers.
@@ -59,9 +60,8 @@ struct WitnessOptions {
 ///      `CertifiedWitness` — uncertified witnesses cannot be constructed).
 ///
 /// The synthesizer reuses the `SatisfiabilityChecker`'s cached support, so
-/// after a SAT verdict no support LP is re-run; on an all-UNSAT schema it
-/// refuses immediately without any solver work (tests assert this via
-/// `SimplexStats`).
+/// after a verdict it runs no LP at all; on an all-UNSAT schema it refuses
+/// immediately (tests assert both via `SimplexStats`).
 class WitnessSynthesizer {
  public:
   /// The checker (and its expansion) must outlive the synthesizer.
@@ -72,7 +72,8 @@ class WitnessSynthesizer {
   /// is satisfiable (nothing to witness), `kUnavailable` when the retry
   /// budget or `max_model_size` is exhausted, a resource-limit status when
   /// the guard trips, and `kInternal` when certification refuses.
-  Result<CertifiedWitness> Synthesize(const WitnessOptions& options = {});
+  Result<CertifiedWitness> Synthesize(
+      const WitnessOptions& options = {}) const;
 
   /// Stages 2–3 only, from a caller-provided acceptable integer solution.
   static Result<CertifiedWitness> SynthesizeFromSolution(
@@ -81,9 +82,6 @@ class WitnessSynthesizer {
 
  private:
   const SatisfiabilityChecker* checker_;
-  // Warm-start carry for the minimal-witness LP across successive
-  // `Synthesize` calls on this (same-shaped) system.
-  WarmStartBasis minimal_witness_carry_;
 };
 
 }  // namespace crsat

@@ -46,6 +46,26 @@ expect_exit(1 lint "${SCHEMAS}/lint_demo.cr")
 expect_exit(1 check "${SCHEMAS}/no_such_file.cr")
 expect_exit(1 model "${SCHEMAS}/figure1.cr" C)
 
+# `debug` on a satisfiable class refuses: exit 1, nothing on stdout and
+# the InvalidArgument line on stderr, by default and with
+# CRSAT_NO_INCREMENTAL=1.
+set(refusal "InvalidArgument: class 'Speaker' is satisfiable; there is no ")
+string(APPEND refusal "unsat core\n")
+foreach(no_incremental 0 1)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env CRSAT_NO_INCREMENTAL=${no_incremental}
+      ${CRSAT_CLI} debug "${SCHEMAS}/meeting.cr" Speaker
+    RESULT_VARIABLE refusal_exit
+    OUTPUT_VARIABLE refusal_out
+    ERROR_VARIABLE refusal_err)
+  if(NOT refusal_exit EQUAL 1 OR NOT refusal_out STREQUAL "" OR
+     NOT refusal_err STREQUAL refusal)
+    message(FATAL_ERROR "CRSAT_NO_INCREMENTAL=${no_incremental} crsat_cli "
+      "debug meeting.cr Speaker: exit ${refusal_exit}, stdout "
+      "'${refusal_out}', stderr '${refusal_err}'")
+  endif()
+endforeach()
+
 # implies: an answered query is 0; an unknown name or a wrong word count
 # is a bad request (2), the same code crsatd's client exits with.
 expect_exit(0 implies "${SCHEMAS}/meeting.cr" isa Speaker Discussant)

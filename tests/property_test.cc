@@ -2,9 +2,13 @@
 // engine against the paper's Theorem 3.4 enumeration, the full method
 // against the Lenzerini-Nobili baseline on its fragment, and satisfiability
 // verdicts against actually materialized (and checked) models, and schema
-// debugging with its Lenzerini-Nobili probe stage against the cold path.
+// debugging with its Lenzerini-Nobili probe stage against the cold path,
+// and the cover LP's minimal witness against the separate minimal-witness
+// LP of the probe-round path.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "src/base/incremental.h"
 #include "src/baseline/ln_reasoner.h"
@@ -351,6 +355,62 @@ TEST_P(DebuggingEquivalenceTest, FastPathProbesMatchColdProbes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, DebuggingEquivalenceTest,
+                         ::testing::Values(DebugFamily::kIsaFree,
+                                           DebugFamily::kIsa,
+                                           DebugFamily::kFigure1));
+
+class MinimalWitnessTest : public ::testing::TestWithParam<DebugFamily> {};
+
+// Sum of a support's witness.
+Rational WitnessTotal(const AcceptableSupport& support) {
+  Rational total;
+  for (const Rational& value : support.witness) {
+    total += value;
+  }
+  return total;
+}
+
+TEST_P(MinimalWitnessTest, CoverSecondStageMatchesTheMinimalWitnessLp) {
+  // The cover LP's second stage and the probe rounds' separate LP
+  // (`ScopedIncrementalOverride(false)`) minimize the same total over the
+  // same face, so the totals agree (the vertices may differ), and both
+  // witnesses certify. Over the first 40 seeds with a satisfiable class.
+  constexpr int kSchemasWithSat = 40;
+  int with_sat = 0;
+  std::uint32_t seed = 7000;
+  for (; with_sat < kSchemasWithSat && seed < 9000; ++seed) {
+    ScopedIncrementalOverride on(true);
+    const Schema schema = DebuggingSchema(GetParam(), seed);
+    CheckedSchema cover(schema);
+    const AcceptableSupport& support = cover.checker.Support().value();
+    const std::vector<bool> satisfiable =
+        cover.checker.SatisfiableClasses().value();
+    if (std::find(satisfiable.begin(), satisfiable.end(), true) ==
+        satisfiable.end()) {
+      continue;
+    }
+    ++with_sat;
+    for (size_t v = 0; v < support.positive.size(); ++v) {
+      EXPECT_EQ(support.witness[v] >= Rational(1), support.positive[v])
+          << "seed " << seed << ", variable " << v;
+    }
+    EXPECT_TRUE(WitnessSynthesizer(cover.checker).Synthesize().ok())
+        << "seed " << seed;
+
+    // The same expansion: the override also changes how it is built.
+    ScopedIncrementalOverride off(false);
+    SatisfiabilityChecker rounds(cover.expansion);
+    const AcceptableSupport& reference = rounds.Support().value();
+    EXPECT_EQ(reference.positive, support.positive) << "seed " << seed;
+    EXPECT_EQ(WitnessTotal(reference), WitnessTotal(support))
+        << "seed " << seed;
+    EXPECT_TRUE(WitnessSynthesizer(rounds).Synthesize().ok())
+        << "seed " << seed;
+  }
+  EXPECT_EQ(with_sat, kSchemasWithSat) << "seeds up to " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, MinimalWitnessTest,
                          ::testing::Values(DebugFamily::kIsaFree,
                                            DebugFamily::kIsa,
                                            DebugFamily::kFigure1));

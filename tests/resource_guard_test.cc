@@ -283,15 +283,61 @@ TEST(ResourceGuardPipelineTest, UnsatCoreProbesObserveTheGuard) {
                            SuggestRepairs(schema, a, core, options));
     return DebugDigest(core, found);
   };
-  // One poll per probe: the core makes one per constraint plus one, and
-  // every earlier trip fails the whole call.
-  const std::uint64_t core_probes =
-      1 + schema.cardinality_declarations().size();
+  // One poll per probe: the core makes one per constraint, plus one on the
+  // schema itself at the first kept constraint (no deletion had shown A
+  // empty yet), and every earlier trip fails the whole call.
+  ASSERT_EQ(core.constraints.size(), 4u);
   const std::string full_core = DebugDigest(core, {});
-  for (std::uint64_t nth = 1; nth <= core_probes; ++nth) {
+  for (std::uint64_t nth = 1; nth <= 5; ++nth) {
     EXPECT_FALSE(survives(nth, core_digest, full_core)) << "nth=" << nth;
   }
-  EXPECT_TRUE(survives(core_probes + 1, core_digest, full_core));
+  EXPECT_TRUE(survives(6, core_digest, full_core));
+  // With a bystander constraint first, the first deletion already leaves
+  // A empty, so the five deletion probes are all: no check of the schema
+  // itself.
+  Schema padded = crsat::testing::IsaFreeUnsatSchemaWithBystander(
+      /*bystander_first=*/true);
+  auto padded_digest =
+      [&](const ExpansionOptions& options) -> Result<std::string> {
+    CRSAT_ASSIGN_OR_RETURN(UnsatCore found,
+                           MinimizeUnsatCore(padded, a, options));
+    return DebugDigest(found, {});
+  };
+  const std::string padded_core =
+      DebugDigest(MinimizeUnsatCore(padded, a).value(), {});
+  for (std::uint64_t nth = 1; nth <= 5; ++nth) {
+    EXPECT_FALSE(survives(nth, padded_digest, padded_core)) << "nth=" << nth;
+  }
+  EXPECT_TRUE(survives(6, padded_digest, padded_core));
+  // A satisfiable class is refused under the guard after two polls (its
+  // first deletion, then the schema itself): a trip on either fails the
+  // call, and a later one leaves the refusal.
+  const ClassId c = padded.FindClass("C").value();
+  auto refusal = [&](const ExpansionOptions& options) -> Result<std::string> {
+    CRSAT_ASSIGN_OR_RETURN(UnsatCore found,
+                           MinimizeUnsatCore(padded, c, options));
+    return DebugDigest(found, {});
+  };
+  for (std::uint64_t nth = 1; nth <= 2; ++nth) {
+    ResourceGuard guard;
+    ExpansionOptions options;
+    options.guard = &guard;
+    ScopedFailpoint trip("guard/trip", nth);
+    Result<std::string> tripped = refusal(options);
+    ASSERT_FALSE(tripped.ok()) << "nth=" << nth;
+    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
+        << "nth=" << nth;
+  }
+  {
+    ResourceGuard guard;
+    ExpansionOptions options;
+    options.guard = &guard;
+    ScopedFailpoint trip("guard/trip", 3);
+    Result<std::string> refused = refusal(options);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(guard.tripped());
+  }
   const std::string full_repairs = DebugDigest(core, repairs);
   std::uint64_t nth = 1;
   while (!survives(nth, repairs_digest, full_repairs) && nth < 1000) {

@@ -83,6 +83,16 @@ inline Schema EmploymentSchema() {
   return builder.Build().value();
 }
 
+/// The cardinalities of `IsaFreeUnsatSchema`, on classes A, B and
+/// relationships R1(X1: A, X2: B), R2(Y1: A, Y2: B) the caller has added.
+inline void SetIsaFreeUnsatCardinalities(SchemaBuilder& builder) {
+  // R1 forces |B| = 2|A|; R2 forces |B| <= |A|/3.
+  builder.SetCardinality("A", "R1", "X1", {2, 2});
+  builder.SetCardinality("B", "R1", "X2", {1, 1});
+  builder.SetCardinality("A", "R2", "Y1", {0, 1});
+  builder.SetCardinality("B", "R2", "Y2", {3, std::nullopt});
+}
+
 /// An ISA-free unsatisfiable-class schema: every A pairs with exactly two
 /// B's, every B with exactly one A, but every B also pairs with at least
 /// three A's in a second relationship capped at one per A.
@@ -92,11 +102,29 @@ inline Schema IsaFreeUnsatSchema() {
   builder.AddClass("B");
   builder.AddRelationship("R1", {{"X1", "A"}, {"X2", "B"}});
   builder.AddRelationship("R2", {{"Y1", "A"}, {"Y2", "B"}});
-  // R1 forces |B| = 2|A|; R2 forces |B| <= |A|/3.
-  builder.SetCardinality("A", "R1", "X1", {2, 2});
-  builder.SetCardinality("B", "R1", "X2", {1, 1});
-  builder.SetCardinality("A", "R2", "Y1", {0, 1});
-  builder.SetCardinality("B", "R2", "Y2", {3, std::nullopt});
+  SetIsaFreeUnsatCardinalities(builder);
+  return builder.Build().value();
+}
+
+/// `IsaFreeUnsatSchema` plus a satisfiable bystander class C whose one
+/// cardinality declaration has nothing to do with A: A's core leaves it
+/// out. That declaration is the first one with `bystander_first`, the
+/// last one otherwise; the class ids are A, B, C either way.
+inline Schema IsaFreeUnsatSchemaWithBystander(bool bystander_first) {
+  SchemaBuilder builder;
+  builder.AddClass("A");
+  builder.AddClass("B");
+  builder.AddClass("C");
+  builder.AddRelationship("R1", {{"X1", "A"}, {"X2", "B"}});
+  builder.AddRelationship("R2", {{"Y1", "A"}, {"Y2", "B"}});
+  builder.AddRelationship("R3", {{"Z1", "C"}, {"Z2", "C"}});
+  if (bystander_first) {
+    builder.SetCardinality("C", "R3", "Z1", {1, 1});
+  }
+  SetIsaFreeUnsatCardinalities(builder);
+  if (!bystander_first) {
+    builder.SetCardinality("C", "R3", "Z1", {1, 1});
+  }
   return builder.Build().value();
 }
 

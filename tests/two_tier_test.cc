@@ -1,10 +1,12 @@
 // Tests for the two-tier simplex arithmetic (int64 fast path with exact
-// fallback), the `SmallRational` scalar, warm starts, and the atomic
+// fallback), the `SmallRational` scalar, warm starts, the lexicographic
+// second stage (`SimplexOptions::then_minimize`), and the atomic
 // `SimplexStats` counters.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <random>
 #include <vector>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/degradation.h"
+#include "src/base/failpoint.h"
 #include "src/lp/simplex.h"
 #include "src/lp/small_rational.h"
 
@@ -634,6 +637,211 @@ TEST(WarmStartTest, RandomSystemsWarmRestartsMatchColdSolves) {
                                                       << instance;
     EXPECT_EQ(restarted.objective, cold.objective) << "instance " << instance;
   }
+}
+
+// --- Lexicographic second stage ----------------------------------------
+
+// A bounded random system (every variable nonnegative, their sum at most
+// 10) and a primary objective with many zero and tied coefficients, so
+// the primary's optimal face is often more than a vertex.
+struct LexInstance {
+  LinearSystem system;
+  LinearExpr primary;
+  LinearExpr secondary;
+  bool maximize = false;
+};
+
+LexInstance RandomLexInstance(std::mt19937* rng) {
+  constexpr int kVars = 5;
+  std::uniform_int_distribution<int> coeff(-3, 3);
+  std::uniform_int_distribution<int> tie(-1, 1);
+  LexInstance instance;
+  instance.system = RandomSystem(rng, kVars, 3);
+  LinearExpr budget;
+  for (int v = 0; v < kVars; ++v) {
+    budget.AddTerm(v, Rational(1));
+    instance.primary.AddTerm(v, Rational(v % 2 == 0 ? tie(*rng) : 0));
+    instance.secondary.AddTerm(v, Rational(coeff(*rng)));
+  }
+  budget.AddConstant(Rational(-10));
+  instance.system.AddLe(std::move(budget));
+  instance.maximize = tie(*rng) > 0;
+  return instance;
+}
+
+// The reference: solve the primary, pin it to its optimum with an
+// equality row, then minimize the secondary, each on the exact tier.
+// Returns false when the primary has no optimum.
+bool ReferenceLex(const LexInstance& instance, Rational* primary_value,
+                  Rational* secondary_value) {
+  SimplexOptions exact;
+  exact.tier = SimplexOptions::Tier::kExactOnly;
+  const LpResult primary =
+      SimplexSolver::SolveWith(instance.system, instance.primary,
+                               instance.maximize, exact)
+          .value();
+  if (primary.outcome != LpOutcome::kOptimal) {
+    return false;
+  }
+  LinearSystem face = instance.system;
+  LinearExpr on_face = instance.primary;
+  on_face.AddConstant(-primary.objective);
+  face.AddEq(std::move(on_face));
+  const LpResult secondary =
+      SimplexSolver::SolveWith(face, instance.secondary, /*maximize=*/false,
+                               exact)
+          .value();
+  EXPECT_EQ(secondary.outcome, LpOutcome::kOptimal);  // The system is bounded.
+  *primary_value = primary.objective;
+  *secondary_value = secondary.objective;
+  return true;
+}
+
+class LexicographicPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LexicographicPropertyTest, SecondStageMatchesThePinnedReference) {
+  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 104729u);
+  int faces_wider_than_a_vertex = 0;
+  for (int instance_index = 0; instance_index < 60; ++instance_index) {
+    SCOPED_TRACE(instance_index);
+    const LexInstance instance = RandomLexInstance(&rng);
+    Rational primary_value;
+    Rational secondary_value;
+    const bool optimal =
+        ReferenceLex(instance, &primary_value, &secondary_value);
+    SimplexOptions two_tier;
+    two_tier.then_minimize = &instance.secondary;
+    SimplexOptions exact = two_tier;
+    exact.tier = SimplexOptions::Tier::kExactOnly;
+    const LpResult plain =
+        SimplexSolver::SolveWith(instance.system, instance.primary,
+                                 instance.maximize, SimplexOptions{})
+            .value();
+    for (const SimplexOptions& options : {two_tier, exact}) {
+      for (bool overflow : {false, true}) {
+        FailpointSpec spec;
+        spec.id = "lp/fast_tier_overflow";
+        spec.mode = FailpointMode::kEveryK;
+        std::optional<ScopedFailpoint> armed;
+        if (overflow) {
+          armed.emplace(spec);
+          ASSERT_TRUE(armed->status().ok());
+        }
+        const LpResult lex =
+            SimplexSolver::SolveWith(instance.system, instance.primary,
+                                     instance.maximize, options)
+                .value();
+        if (!optimal) {
+          EXPECT_NE(lex.outcome, LpOutcome::kOptimal);
+          continue;
+        }
+        ASSERT_EQ(lex.outcome, LpOutcome::kOptimal);
+        EXPECT_TRUE(instance.system.IsSatisfiedBy(lex.values));
+        EXPECT_EQ(lex.objective, primary_value);
+        EXPECT_EQ(instance.secondary.Evaluate(lex.values), secondary_value);
+      }
+    }
+    if (optimal &&
+        instance.secondary.Evaluate(plain.values) != secondary_value) {
+      ++faces_wider_than_a_vertex;
+    }
+  }
+  // The second stage moved off the primary's vertex somewhere.
+  EXPECT_GT(faces_wider_than_a_vertex, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LexicographicPropertyTest,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(LexicographicTest, SecondaryUnboundedOnTheFaceIsUnbounded) {
+  // min x subject to x <= 1 leaves y free on the face x = 0, so minimizing
+  // -y there has no optimum.
+  LinearSystem system;
+  system.AddVariable("x");
+  system.AddVariable("y");
+  system.AddLe(Expr({{0, 1}}, -1));
+  const LinearExpr secondary = Expr({{1, -1}});
+  SimplexOptions options;
+  options.then_minimize = &secondary;
+  EXPECT_EQ(SimplexSolver::SolveWith(system, Expr({{0, 1}}),
+                                     /*maximize=*/false, options)
+                .value()
+                .outcome,
+            LpOutcome::kUnbounded);
+}
+
+TEST(LexicographicTest, SecondStageStaysOnTheOptimalFace) {
+  // min x + y subject to x + y >= 2, x <= 5, y <= 5: every point of the
+  // segment x + y = 2 is optimal; minimizing x then picks (0, 2) and
+  // maximizing x (minimizing -x) picks (2, 0).
+  LinearSystem system;
+  system.AddVariable("x");
+  system.AddVariable("y");
+  system.AddGe(Expr({{0, 1}, {1, 1}}, -2));
+  system.AddLe(Expr({{0, 1}}, -5));
+  system.AddLe(Expr({{1, 1}}, -5));
+  for (std::int64_t sign : {1, -1}) {
+    const LinearExpr secondary = Expr({{0, sign}});
+    SimplexOptions options;
+    options.then_minimize = &secondary;
+    const LpResult lex =
+        SimplexSolver::SolveWith(system, Expr({{0, 1}, {1, 1}}),
+                                 /*maximize=*/false, options)
+            .value();
+    ASSERT_EQ(lex.outcome, LpOutcome::kOptimal);
+    EXPECT_EQ(lex.objective, Rational(2));
+    EXPECT_EQ(lex.values[0], Rational(sign > 0 ? 0 : 2));
+    EXPECT_EQ(lex.values[1], Rational(sign > 0 ? 2 : 0));
+  }
+}
+
+TEST(LexicographicTest, SecondStageOverflowRestartsOnTheExactTier) {
+  // min x + 2y over x + 2y >= 2, x <= 5, y <= 5 stays in int64
+  // throughout. Minimizing M (y - x), M = 2^63 - 1, on its optimal face
+  // does not: whichever of x and y the primary leaves basic, some reduced
+  // cost of the second stage is 3M or 3M/2. So the fast tier finishes the
+  // primary, overflows in the second stage, and the whole solve restarts
+  // on Rational.
+  LinearSystem system;
+  system.AddVariable("x");
+  system.AddVariable("y");
+  system.AddGe(Expr({{0, 1}, {1, 2}}, -2));
+  system.AddLe(Expr({{0, 1}}, -5));
+  system.AddLe(Expr({{1, 1}}, -5));
+  const LinearExpr primary = Expr({{0, 1}, {1, 2}});
+  const LinearExpr secondary = Expr({{0, -INT64_MAX}, {1, INT64_MAX}});
+
+  GetSimplexStats().Reset();
+  GetRecoveryStats().Reset();
+  const LpResult plain = SimplexSolver::SolveWith(system, primary,
+                                                  /*maximize=*/false,
+                                                  SimplexOptions())
+                             .value();
+  ASSERT_EQ(plain.outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(GetSimplexStats().fast_solves.load(), 1u);
+  EXPECT_EQ(GetRecoveryStats().tier_fallbacks.load(), 0u);
+
+  SimplexOptions options;
+  options.then_minimize = &secondary;
+  GetSimplexStats().Reset();
+  GetRecoveryStats().Reset();
+  const LpResult lex =
+      SimplexSolver::SolveWith(system, primary, /*maximize=*/false, options)
+          .value();
+  EXPECT_EQ(GetSimplexStats().fast_solves.load(), 0u);
+  EXPECT_EQ(GetRecoveryStats().tier_fallbacks.load(), 1u);
+
+  SimplexOptions exact = options;
+  exact.tier = SimplexOptions::Tier::kExactOnly;
+  const LpResult reference =
+      SimplexSolver::SolveWith(system, primary, /*maximize=*/false, exact)
+          .value();
+  ASSERT_EQ(lex.outcome, LpOutcome::kOptimal);
+  ASSERT_EQ(reference.outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(lex.objective, Rational(2));
+  EXPECT_EQ(lex.values, reference.values);
+  EXPECT_EQ(lex.values[0], Rational(2));
+  EXPECT_EQ(lex.values[1], Rational(0));
 }
 
 }  // namespace

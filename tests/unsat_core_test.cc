@@ -179,15 +179,44 @@ std::string DebugDigestFor(const Schema& schema, ClassId cls,
 
 TEST(UnsatCoreTest, IsaFreeProbesSkipTheExpansion) {
   // Every probe of an ISA-free schema is decided by the Lenzerini-Nobili
-  // baseline: the check of the schema itself plus one per constraint.
+  // baseline: one per constraint, plus the check of the schema itself at
+  // the first kept constraint, because no deletion had shown A empty yet.
   ScopedIncrementalOverride on(true);
   Schema schema = IsaFreeUnsatSchema();
   ClassId a = schema.FindClass("A").value();
   GetFastPathStats().Reset();
   const UnsatCore core = MinimizeUnsatCore(schema, a).value();
+  ASSERT_EQ(core.constraints.size(), 4u);
   EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(),
-            1 + schema.cardinality_declarations().size());
+            schema.cardinality_declarations().size() + 1);
   ExpectCoreIsMinimal(schema, a, core);
+
+  // A sweep whose first deletion leaves A empty has shown A empty in the
+  // schema itself: no check of it.
+  Schema padded = crsat::testing::IsaFreeUnsatSchemaWithBystander(
+      /*bystander_first=*/true);
+  GetFastPathStats().Reset();
+  EXPECT_EQ(MinimizeUnsatCore(padded, a).value().constraints.size(), 4u);
+  EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(),
+            padded.cardinality_declarations().size());
+  // Dropped last, the bystander comes too late: the first kept
+  // constraint already triggered the check.
+  Schema padded_last = crsat::testing::IsaFreeUnsatSchemaWithBystander(
+      /*bystander_first=*/false);
+  GetFastPathStats().Reset();
+  EXPECT_EQ(MinimizeUnsatCore(padded_last, a).value().constraints.size(), 4u);
+  EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(),
+            padded_last.cardinality_declarations().size() + 1);
+  // A satisfiable class is refused after two probes, its first deletion
+  // and the schema itself, not after a whole sweep.
+  const ClassId c = padded.FindClass("C").value();
+  GetFastPathStats().Reset();
+  Result<UnsatCore> refused = MinimizeUnsatCore(padded, c);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().ToString(),
+            "InvalidArgument: class 'C' is satisfiable; there is no unsat "
+            "core");
+  EXPECT_EQ(GetFastPathStats().ln_short_circuits.load(), 2u);
   const std::string fast =
       DebugDigest(core, SuggestRepairs(schema, a, core).value());
 
@@ -200,8 +229,9 @@ TEST(UnsatCoreTest, IsaFreeProbesSkipTheExpansion) {
 
 TEST(UnsatCoreTest, ProbeThatErasesTheLastIsaTakesTheFastPath) {
   // Figure 1 has one ISA statement: the probe without it is ISA-free and
-  // skips the expansion; the check of the schema itself and the two
-  // cardinality probes keep the ISA and are expanded.
+  // skips the expansion; the check of the schema itself (run when that
+  // first probe keeps the ISA) and the two cardinality probes keep the ISA
+  // and are expanded.
   ScopedIncrementalOverride on(true);
   Schema schema = Figure1Schema();
   ClassId c = schema.FindClass("C").value();

@@ -19,9 +19,15 @@ JSON, and any workload with multi-thread baseline rows must have
 multi-thread fresh rows (so a single-core CI runner can't silently
 drop the cross-thread cross-check; it must pass --force-multithread).
 
-Counter drift (solves/pivots) on matched rows is reported informationally:
-those counts are deterministic, so a change is a behavior change, but the
-wall clock is the contract this gate enforces.
+Solver work is gated too: a matched row whose `solves` or `pivots` per
+timed repetition differ from the committed row's FAILS, oversubscribed
+or not. Both JSONs record `repeat` (bench_parallel sums the counters
+over its repetitions, and CI runs fewer than the committed trajectory);
+a JSON without it fails the gate. Those counts are deterministic (every
+committed row has the same counters at 1, 2 and 4 threads and in every
+repetition), so unlike the wall clock they do not depend on the host; a
+change is a behavior change, and the committed rows must be re-recorded
+with the change that causes it.
 
 With `--mode server` the same comparison runs over bench_server output
 (BENCH_server.json): rows are matched on (workload name, client count),
@@ -189,13 +195,25 @@ def main():
     if args.mode == "server":
         return check_server(args)
 
-    _, baseline = load_rows(args.baseline)
+    baseline_doc, baseline = load_rows(args.baseline)
     fresh_doc, fresh = load_rows(args.fresh)
     if baseline is None or fresh is None:
         return 2
 
     failures = []
     compared = 0
+
+    # Counters are compared per repetition: base / base_repeat against
+    # fresh / fresh_repeat, cross-multiplied to stay in integers.
+    repeats = {}
+    for label, doc in (("baseline", baseline_doc), ("fresh", fresh_doc)):
+        repeat = doc.get("repeat")
+        if isinstance(repeat, int) and not isinstance(repeat, bool) \
+                and repeat >= 1:
+            repeats[label] = repeat
+        else:
+            failures.append(f"{label} JSON records no valid `repeat` "
+                            f"({repeat!r}); solver work cannot be compared")
 
     # Determinism is the one property the multi-thread rows certify on
     # any core count: the bench binary exits non-zero on a digest
@@ -256,13 +274,20 @@ def main():
               + ("  [oversubscribed — timing advisory only]"
                  if advisory else ""))
         for counter in ("solves", "pivots"):
-            if counter in baseline[key] and counter in fresh[key]:
-                base_count = baseline[key][counter]
-                fresh_count = fresh[key][counter]
-                if base_count != fresh_count:
-                    print(f"      note: {counter} changed "
-                          f"{base_count} -> {fresh_count} "
-                          "(deterministic counter; behavior change)")
+            if len(repeats) < 2 or counter not in baseline[key] \
+                    or counter not in fresh[key]:
+                continue
+            base_count = baseline[key][counter]
+            fresh_count = fresh[key][counter]
+            if base_count * repeats["fresh"] != \
+                    fresh_count * repeats["baseline"]:
+                change = (f"{counter} per repetition "
+                          f"{base_count / repeats['baseline']:g} -> "
+                          f"{fresh_count / repeats['fresh']:g}")
+                print(f"FAIL  {name} [threads={threads}]: {change}")
+                failures.append(
+                    f"{name} [threads={threads}]: {change} (deterministic "
+                    "solver work; re-record the row if intended)")
 
     for key in sorted(fresh):
         if key not in baseline:
@@ -279,7 +304,8 @@ def main():
             print(f"  {failure}", file=sys.stderr)
         return 1
     print(f"\n{compared} row(s) compared, all within "
-          f"{args.tolerance * 100.0:.0f}% of the committed baseline")
+          f"{args.tolerance * 100.0:.0f}% of the committed baseline, "
+          "with the committed solves and pivots")
     return 0
 
 
