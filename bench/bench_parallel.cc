@@ -211,34 +211,28 @@ Workload TimeAtThreadCounts(const std::string& name,
 
 std::string ToJson(const std::vector<Workload>& workloads, int repeat,
                    bool all_deterministic) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"bench\": \"bench_parallel\",\n";
-  out << "  \"hardware_concurrency\": "
-      << static_cast<int>(std::thread::hardware_concurrency()) << ",\n";
-  out << "  \"default_threads\": " << crsat::ThreadPool::DefaultThreadCount()
-      << ",\n";
+  constexpr crsat::JsonLayout kMultiLine = crsat::JsonLayout::kMultiLine;
+  crsat::JsonWriter json;
+  json.BeginObject(kMultiLine).Member("bench", "bench_parallel");
+  json.Member("hardware_concurrency",
+              static_cast<int>(std::thread::hardware_concurrency()));
+  json.Member("default_threads", crsat::ThreadPool::DefaultThreadCount());
   // Counters are summed over the `repeat` timed repetitions, so a gate
   // compares them per repetition.
-  out << "  \"repeat\": " << repeat << ",\n";
-  out << "  \"deterministic_across_threads\": "
-      << (all_deterministic ? "true" : "false") << ",\n";
-  out << "  \"workloads\": [\n";
-  for (size_t w = 0; w < workloads.size(); ++w) {
-    const Workload& workload = workloads[w];
+  json.Member("repeat", repeat);
+  json.Member("deterministic_across_threads", all_deterministic);
+  json.Key("workloads").BeginArray(kMultiLine);
+  for (const Workload& workload : workloads) {
     double base_ms = workload.timings.empty()
                          ? 0
                          : workload.timings.front().wall_ms;
-    out << "    {\n      \"name\": \"" << crsat::JsonEscape(workload.name)
-        << "\",\n      \"deterministic\": "
-        << (workload.deterministic ? "true" : "false")
-        << ",\n      \"runs\": [\n";
-    for (size_t t = 0; t < workload.timings.size(); ++t) {
-      const Timing& timing = workload.timings[t];
+    json.BeginObject(kMultiLine).Member("name", workload.name);
+    json.Member("deterministic", workload.deterministic);
+    json.Key("runs").BeginArray(kMultiLine);
+    for (const Timing& timing : workload.timings) {
+      json.BeginObject().Member("threads", timing.threads);
       if (timing.skipped_single_core) {
-        out << "        {\"threads\": " << timing.threads
-            << ", \"skipped_single_core\": true}"
-            << (t + 1 < workload.timings.size() ? "," : "") << "\n";
+        json.Member("skipped_single_core", true).End();
         continue;
       }
       const StatsSnapshot& stats = timing.stats;
@@ -251,32 +245,32 @@ std::string ToJson(const std::vector<Workload>& workloads, int repeat,
           stats.solves > 0
               ? static_cast<double>(stats.tier_fallbacks) / stats.solves
               : 0.0;
-      out << "        {\"threads\": " << timing.threads
-          << (timing.oversubscribed ? ", \"oversubscribed\": true" : "")
-          << ", \"wall_ms\": " << timing.wall_ms
-          << ", \"speedup_vs_1\": " << speedup
-          << ", \"solves\": " << stats.solves
-          << ", \"pivots\": " << stats.pivots
-          << ", \"basis_pivots\": " << stats.basis_pivots
-          << ", \"phase1_pivots\": " << stats.phase1_pivots
-          << ", \"fast_pivot_fraction\": " << fast_fraction
-          << ", \"tier_fallback_rate\": " << fallback_rate
-          << ", \"warm_start_hits\": " << stats.warm_start_hits
-          << ", \"warm_start_misses\": " << stats.warm_start_misses
-          << ", \"dual_pivots\": " << stats.dual_pivots
-          << ", \"incremental_hits\": " << stats.incremental_hits
-          << ", \"incremental_fallbacks\": " << stats.incremental_fallbacks
-          << ", \"dominance_lookups\": " << stats.dominance_lookups
-          << ", \"dominance_hits\": " << stats.dominance_hits
-          << ", \"derived_disjoint_pairs\": " << stats.derived_disjoint_pairs
-          << ", \"pruned_subtrees\": " << stats.pruned_subtrees
-          << ", \"ln_short_circuits\": " << stats.ln_short_circuits << "}"
-          << (t + 1 < workload.timings.size() ? "," : "") << "\n";
+      if (timing.oversubscribed) {
+        json.Member("oversubscribed", true);
+      }
+      json.Member("wall_ms", timing.wall_ms)
+          .Member("speedup_vs_1", speedup)
+          .Member("solves", stats.solves)
+          .Member("pivots", stats.pivots)
+          .Member("basis_pivots", stats.basis_pivots)
+          .Member("phase1_pivots", stats.phase1_pivots)
+          .Member("fast_pivot_fraction", fast_fraction)
+          .Member("tier_fallback_rate", fallback_rate)
+          .Member("warm_start_hits", stats.warm_start_hits)
+          .Member("warm_start_misses", stats.warm_start_misses)
+          .Member("dual_pivots", stats.dual_pivots)
+          .Member("incremental_hits", stats.incremental_hits)
+          .Member("incremental_fallbacks", stats.incremental_fallbacks)
+          .Member("dominance_lookups", stats.dominance_lookups)
+          .Member("dominance_hits", stats.dominance_hits)
+          .Member("derived_disjoint_pairs", stats.derived_disjoint_pairs)
+          .Member("pruned_subtrees", stats.pruned_subtrees)
+          .Member("ln_short_circuits", stats.ln_short_circuits)
+          .End();
     }
-    out << "      ]\n    }" << (w + 1 < workloads.size() ? "," : "") << "\n";
+    json.End().End();
   }
-  out << "  ]\n}\n";
-  return out.str();
+  return json.End().End().str() + "\n";
 }
 
 }  // namespace

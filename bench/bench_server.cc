@@ -325,25 +325,24 @@ int main(int argc, char** argv) {
   daemon.Wait();
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"bench_server\",\n"
-        << "  \"requests_per_client\": " << requests << ",\n"
-        << "  \"mix\": \"every client cycles university.cr, figure1.cr, "
-           "meeting.cr (parse, check, lint, implications isa, check, lint "
-           "json, witness text), starting at a different schema\",\n"
-        << "  \"workloads\": [\n    {\n      \"name\": \"mixed_loopback\",\n"
-        << "      \"runs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const RunResult& r = results[i];
-      out << "        {\"clients\": " << r.clients << ", \"requests\": "
-          << r.requests << ", \"wall_ms\": " << r.wall_ms
-          << ", \"req_per_s\": " << r.req_per_s << ", \"p50_ms\": "
-          << r.p50_ms << ", \"p99_ms\": " << r.p99_ms
-          << ", \"protocol_errors\": " << r.protocol_errors
-          << ", \"mismatches\": " << r.mismatches << "}"
-          << (i + 1 < results.size() ? "," : "") << "\n";
+    constexpr crsat::JsonLayout kMultiLine = crsat::JsonLayout::kMultiLine;
+    crsat::JsonWriter json;
+    json.BeginObject(kMultiLine).Member("bench", "bench_server");
+    json.Member("requests_per_client", requests).Member("mix",
+        "every client cycles university.cr, figure1.cr, meeting.cr (parse, "
+        "check, lint, implications isa, check, lint json, witness text), "
+        "starting at a different schema");
+    json.Key("workloads").BeginArray(kMultiLine).BeginObject(kMultiLine);
+    json.Member("name", "mixed_loopback").Key("runs").BeginArray(kMultiLine);
+    for (const RunResult& r : results) {
+      json.BeginObject().Member("clients", r.clients);
+      json.Member("requests", r.requests).Member("wall_ms", r.wall_ms);
+      json.Member("req_per_s", r.req_per_s).Member("p50_ms", r.p50_ms);
+      json.Member("p99_ms", r.p99_ms);
+      json.Member("protocol_errors", r.protocol_errors);
+      json.Member("mismatches", r.mismatches).End();
     }
-    out << "      ]\n    }\n  ]\n}\n";
+    std::ofstream(json_path) << json.End().End().End().End().str() << "\n";
     std::cout << "wrote " << json_path << "\n";
   }
 

@@ -323,33 +323,27 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
         any_unknown || result.verdict == crsat::SaturationVerdict::kUnknown;
   }
   if (json) {
-    std::cout << "{\n  \"schema\": \"" << crsat::JsonEscape(parsed.name)
-              << "\",\n  \"backend\": \"saturation\",\n  \"classes\": [\n";
-    bool first = true;
+    constexpr crsat::JsonLayout kMultiLine = crsat::JsonLayout::kMultiLine;
+    crsat::JsonWriter out;
+    out.BeginObject(kMultiLine).Member("schema", parsed.name);
+    out.Member("backend", "saturation");
+    out.Key("classes").BeginArray(kMultiLine);
     for (const crsat::SaturationClassResult& result : report.classes) {
-      if (!first) {
-        std::cout << ",\n";
-      }
-      first = false;
-      std::cout << "    {\"name\": \""
-                << crsat::JsonEscape(schema.ClassName(result.cls))
-                << "\", \"verdict\": \""
-                << crsat::SaturationVerdictToString(result.verdict) << "\"";
+      out.BeginObject().Member("name", schema.ClassName(result.cls));
+      out.Member("verdict", crsat::SaturationVerdictToString(result.verdict));
       if (!result.unknown_reason.empty()) {
-        std::cout << ", \"unknown_reason\": \""
-                  << crsat::JsonEscape(result.unknown_reason) << "\"";
+        out.Member("unknown_reason", result.unknown_reason);
       }
-      std::cout << "}";
+      out.End();
     }
-    std::cout << "\n  ],\n  \"templates_created\": " << report.templates_created
-              << ",\n  \"blocked_edges\": " << report.blocked_edges
-              << ",\n  \"individuals_reused\": " << report.individuals_reused
-              << ",\n  \"individuals_spawned\": "
-              << report.individuals_spawned;
+    out.End().Member("templates_created", report.templates_created);
+    out.Member("blocked_edges", report.blocked_edges);
+    out.Member("individuals_reused", report.individuals_reused);
+    out.Member("individuals_spawned", report.individuals_spawned);
     if (guard != nullptr) {
-      std::cout << ",\n  \"resource\": " << guard->report().ToJson();
+      out.Key("resource").Raw(guard->report().ToJson());
     }
-    std::cout << "\n}\n";
+    std::cout << out.End().str() << "\n";
   } else {
     std::cout << report.Summary(schema);
     if (any_unknown && guard != nullptr && guard->tripped()) {

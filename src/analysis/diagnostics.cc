@@ -35,31 +35,22 @@ std::string FormatDiagnostic(const Diagnostic& diagnostic,
 }
 
 std::string DiagnosticsToJson(const std::vector<Diagnostic>& diagnostics) {
-  std::string json = "[";
-  for (size_t i = 0; i < diagnostics.size(); ++i) {
-    const Diagnostic& d = diagnostics[i];
-    if (i > 0) {
-      json += ",";
+  JsonWriter json;
+  json.BeginArray(JsonLayout::kMultiLine);
+  for (const Diagnostic& d : diagnostics) {
+    json.BeginObject().Member("rule", d.rule);
+    json.Member("severity", SeverityToString(d.severity));
+    json.Member("message", d.message).Key("entities").BeginArray();
+    for (const std::string& entity : d.entities) {
+      json.Value(entity);
     }
-    json += "\n  {\"rule\": \"" + JsonEscape(d.rule) + "\", \"severity\": \"";
-    json += SeverityToString(d.severity);
-    json += "\", \"message\": \"" + JsonEscape(d.message) + "\"";
-    json += ", \"entities\": [";
-    for (size_t k = 0; k < d.entities.size(); ++k) {
-      if (k > 0) {
-        json += ", ";
-      }
-      json += "\"" + JsonEscape(d.entities[k]) + "\"";
-    }
-    json += "]";
+    json.End();
     if (d.location.IsKnown()) {
-      json += ", \"line\": " + std::to_string(d.location.line) +
-              ", \"column\": " + std::to_string(d.location.column);
+      json.Member("line", d.location.line).Member("column", d.location.column);
     }
-    json += "}";
+    json.End();
   }
-  json += diagnostics.empty() ? "]" : "\n]";
-  return json;
+  return json.End().str();
 }
 
 bool HasErrors(const std::vector<Diagnostic>& diagnostics) {

@@ -1,23 +1,21 @@
 #include "src/base/degradation.h"
 
+#include "src/base/json.h"
+
 namespace crsat {
 
-namespace {
-
-std::string Load(const std::atomic<std::uint64_t>& counter) {
-  return std::to_string(counter.load(std::memory_order_relaxed));
-}
-
-}  // namespace
-
 std::string RecoveryStats::ToJson() const {
-  return "{\"warm_start_fallbacks\": " + Load(warm_start_fallbacks) +
-         ", \"cover_fallbacks\": " + Load(cover_fallbacks) +
-         ", \"tier_fallbacks\": " + Load(tier_fallbacks) +
-         ", \"witness_flow_refinements\": " + Load(witness_flow_refinements) +
-         ", \"witness_rescales\": " + Load(witness_rescales) +
-         ", \"bad_alloc_conversions\": " + Load(bad_alloc_conversions) +
-         ", \"guard_trips\": " + Load(guard_trips) + "}";
+  return JsonWriter()
+      .BeginObject()
+      .Member("warm_start_fallbacks", warm_start_fallbacks)
+      .Member("cover_fallbacks", cover_fallbacks)
+      .Member("tier_fallbacks", tier_fallbacks)
+      .Member("witness_flow_refinements", witness_flow_refinements)
+      .Member("witness_rescales", witness_rescales)
+      .Member("bad_alloc_conversions", bad_alloc_conversions)
+      .Member("guard_trips", guard_trips)
+      .End()
+      .str();
 }
 
 RecoveryStats& GetRecoveryStats() {

@@ -4,6 +4,7 @@
 
 #include "src/base/degradation.h"
 #include "src/base/failpoint.h"
+#include "src/base/json.h"
 
 namespace crsat {
 
@@ -53,14 +54,12 @@ std::string ResourceReport::ToString() const {
 }
 
 std::string ResourceReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\"tripped\": \"" << ResourceLimitKindToString(tripped)
-      << "\", \"site\": \"" << site << "\", \"elapsed_ms\": " << elapsed_ms
-      << ", \"compounds\": " << compounds
-      << ", \"memory_bytes\": " << memory_bytes
-      << ", \"peak_memory_bytes\": " << peak_memory_bytes
-      << ", \"checks\": " << checks << "}";
-  return out.str();
+  JsonWriter json;
+  json.BeginObject().Member("tripped", ResourceLimitKindToString(tripped));
+  json.Member("site", site).Member("elapsed_ms", elapsed_ms);
+  json.Member("compounds", compounds).Member("memory_bytes", memory_bytes);
+  json.Member("peak_memory_bytes", peak_memory_bytes);
+  return json.Member("checks", checks).End().str();
 }
 
 ResourceGuard::ResourceGuard(const ResourceLimits& limits)

@@ -1,6 +1,5 @@
 #include "src/commands/commands.h"
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -34,10 +33,11 @@ CommandResult ErrorResult(int exit_code, const std::string& message) {
 // stderr otherwise.
 CommandResult TripReport(const ResourceGuard& guard, bool json) {
   if (json) {
-    return {kExitResource,
-            "{\n  \"error\": \"" + JsonEscape(guard.TripStatus().ToString()) +
-                "\",\n  \"resource\": " + guard.report().ToJson() + "\n}\n",
-            ""};
+    JsonWriter out;
+    out.BeginObject(JsonLayout::kMultiLine)
+        .Member("error", guard.TripStatus().ToString())
+        .Key("resource").Raw(guard.report().ToJson()).End();
+    return {kExitResource, out.str() + "\n", ""};
   }
   return ErrorResult(kExitResource, guard.TripStatus().ToString() + "\n" +
                                         guard.report().ToString());
@@ -57,35 +57,33 @@ CommandResult Failure(const Status& status, const ResourceGuard* guard,
       status.ToString());
 }
 
-std::string Load(const std::atomic<std::uint64_t>& counter) {
-  return std::to_string(counter.load(std::memory_order_relaxed));
-}
-
 // Solver counters as a JSON object. The one-shot CLI resets them before
 // the command, so they cover exactly this invocation.
 std::string SolverStatsJson() {
-  const SimplexStats& stats = GetSimplexStats();
-  return "{\"solves\": " + Load(stats.solves) +
-         ", \"pivots\": " + Load(stats.pivots) +
-         ", \"basis_pivots\": " + Load(stats.basis_pivots) +
-         ", \"phase1_pivots\": " + Load(stats.phase1_pivots) +
-         ", \"fast_solves\": " + Load(stats.fast_solves) +
-         ", \"fast_pivots\": " + Load(stats.fast_pivots) +
-         ", \"tier_fallbacks\": " +
-         Load(GetRecoveryStats().tier_fallbacks) +
-         ", \"warm_start_hits\": " + Load(stats.warm_start_hits) +
-         ", \"warm_start_misses\": " + Load(stats.warm_start_misses) +
-         ", \"dual_pivots\": " + Load(stats.dual_pivots) +
-         ", \"incremental_hits\": " + Load(stats.incremental_hits) +
-         ", \"incremental_fallbacks\": " + Load(stats.incremental_fallbacks) +
-         ", \"dominance_lookups\": " +
-         Load(GetImplicationStats().dominance_lookups) +
-         ", \"dominance_hits\": " + Load(GetImplicationStats().dominance_hits) +
-         ", \"derived_disjoint_pairs\": " +
-         Load(GetExpansionStats().derived_disjoint_pairs) +
-         ", \"pruned_subtrees\": " + Load(GetExpansionStats().pruned_subtrees) +
-         ", \"ln_short_circuits\": " +
-         Load(GetFastPathStats().ln_short_circuits) + "}";
+  const SimplexStats& lp = GetSimplexStats();
+  const ImplicationStats& probe = GetImplicationStats();
+  const ExpansionStats& expand = GetExpansionStats();
+  return JsonWriter()
+      .BeginObject()
+      .Member("solves", lp.solves)
+      .Member("pivots", lp.pivots)
+      .Member("basis_pivots", lp.basis_pivots)
+      .Member("phase1_pivots", lp.phase1_pivots)
+      .Member("fast_solves", lp.fast_solves)
+      .Member("fast_pivots", lp.fast_pivots)
+      .Member("tier_fallbacks", GetRecoveryStats().tier_fallbacks)
+      .Member("warm_start_hits", lp.warm_start_hits)
+      .Member("warm_start_misses", lp.warm_start_misses)
+      .Member("dual_pivots", lp.dual_pivots)
+      .Member("incremental_hits", lp.incremental_hits)
+      .Member("incremental_fallbacks", lp.incremental_fallbacks)
+      .Member("dominance_lookups", probe.dominance_lookups)
+      .Member("dominance_hits", probe.dominance_hits)
+      .Member("derived_disjoint_pairs", expand.derived_disjoint_pairs)
+      .Member("pruned_subtrees", expand.pruned_subtrees)
+      .Member("ln_short_circuits", GetFastPathStats().ln_short_circuits)
+      .End()
+      .str();
 }
 
 // An implication query the checker could not answer. InvalidArgument
@@ -164,44 +162,36 @@ CommandResult Check(const NamedSchema& parsed, Analysis& analysis, bool json,
   }
 
   const int exit_code = all_ok ? kExitOk : kExitFindings;
-  std::ostringstream out;
   if (json) {
-    out << "{\n  \"schema\": \"" << JsonEscape(parsed.name)
-        << "\",\n  \"threads\": " << GlobalThreadCount()
-        << ",\n  \"classes\": [\n";
-    bool first = true;
+    JsonWriter out;
+    out.BeginObject(JsonLayout::kMultiLine).Member("schema", parsed.name);
+    out.Member("threads", GlobalThreadCount());
+    out.Key("classes").BeginArray(JsonLayout::kMultiLine);
     for (ClassId cls : schema.AllClasses()) {
-      if (!first) {
-        out << ",\n";
-      }
-      first = false;
-      out << "    {\"name\": \"" << JsonEscape(schema.ClassName(cls))
-          << "\", \"satisfiable\": "
-          << ((*satisfiable)[cls.value] ? "true" : "false") << "}";
+      out.BeginObject().Member("name", schema.ClassName(cls));
+      out.Member("satisfiable", bool{(*satisfiable)[cls.value]}).End();
     }
-    out << "\n  ],\n  \"strongly_satisfiable\": "
-        << (all_ok ? "true" : "false") << ",\n  \"stats\": "
-        << SolverStatsJson()
-        << ",\n  \"recovery\": " << GetRecoveryStats().ToJson();
+    out.End().Member("strongly_satisfiable", all_ok);
+    out.Key("stats").Raw(SolverStatsJson());
+    out.Key("recovery").Raw(GetRecoveryStats().ToJson());
     if (!witness_mode.empty()) {
-      out << ",\n  \"witness\": ";
+      out.Key("witness");
       if (witness.has_value()) {
-        out << WitnessToJson(*witness);
-      } else if (witness_failure.has_value()) {
-        out << "{\"certified\": false, \"error\": \""
-            << JsonEscape(*witness_failure) << "\"}";
+        out.Raw(WitnessToJson(*witness));
       } else {
-        out << "{\"certified\": false, \"error\": \"no class is "
-               "satisfiable; nothing to witness\"}";
+        out.BeginObject().Member("certified", false);
+        out.Member("error", witness_failure.value_or(
+                                "no class is satisfiable; nothing to witness"));
+        out.End();
       }
     }
     if (guard != nullptr) {
-      out << ",\n  \"resource\": " << guard->report().ToJson();
+      out.Key("resource").Raw(guard->report().ToJson());
     }
-    out << "\n}\n";
-    return {exit_code, out.str(), ""};
+    return {exit_code, out.End().str() + "\n", ""};
   }
 
+  std::ostringstream out;
   for (ClassId cls : schema.AllClasses()) {
     out << ((*satisfiable)[cls.value] ? "  satisfiable    "
                                       : "  UNSATISFIABLE  ")

@@ -235,69 +235,51 @@ RandomSchemaParams SweepParams(const ConformanceOptions& options,
 }  // namespace
 
 std::string ConformanceReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"schemas_checked\": " << schemas_checked << ",\n"
-      << "  \"class_verdicts_compared\": " << class_verdicts_compared
-      << ",\n"
-      << "  \"sat_confirmed_by_oracle\": " << sat_confirmed_by_oracle
-      << ",\n"
-      << "  \"unsat_consistent_up_to_bound\": " << unsat_consistent_up_to_bound
-      << ",\n"
-      << "  \"sat_beyond_bound\": " << sat_beyond_bound << ",\n"
-      << "  \"oracle_exhausted\": " << oracle_exhausted << ",\n"
-      << "  \"baseline_schemas\": " << baseline_schemas << ",\n"
-      << "  \"metamorphic_mutants\": " << metamorphic_mutants << ",\n"
-      << "  \"witnesses_certified\": " << witnesses_certified << ",\n"
-      << "  \"saturation_models_certified\": " << saturation_models_certified
-      << ",\n"
-      << "  \"sat_confirmed_by_saturation\": " << sat_confirmed_by_saturation
-      << ",\n"
-      << "  \"unsat_confirmed_by_saturation\": "
-      << unsat_confirmed_by_saturation << ",\n"
-      << "  \"sat_without_finite_witness\": " << sat_without_finite_witness
-      << ",\n"
-      << "  \"infinite_model_contrasts\": " << infinite_model_contrasts
-      << ",\n"
-      << "  \"saturation_unknown\": " << saturation_unknown << ",\n";
-  {
-    // Process-wide solver counters at report time; with the CLI's
-    // reset-at-command-start discipline they cover exactly this sweep.
-    const SimplexStats& lp = GetSimplexStats();
-    const ImplicationStats& probe = GetImplicationStats();
-    const ExpansionStats& expand = GetExpansionStats();
-    auto load = [](const std::atomic<std::uint64_t>& counter) {
-      return counter.load(std::memory_order_relaxed);
-    };
-    out << "  \"stats\": {\"solves\": " << load(lp.solves)
-        << ", \"pivots\": " << load(lp.pivots)
-        << ", \"warm_start_hits\": " << load(lp.warm_start_hits)
-        << ", \"warm_start_misses\": " << load(lp.warm_start_misses)
-        << ", \"dual_pivots\": " << load(lp.dual_pivots)
-        << ", \"incremental_hits\": " << load(lp.incremental_hits)
-        << ", \"incremental_fallbacks\": " << load(lp.incremental_fallbacks)
-        << ", \"dominance_lookups\": " << load(probe.dominance_lookups)
-        << ", \"dominance_hits\": " << load(probe.dominance_hits)
-        << ", \"derived_disjoint_pairs\": "
-        << load(expand.derived_disjoint_pairs)
-        << ", \"pruned_subtrees\": " << load(expand.pruned_subtrees)
-        << ", \"ln_short_circuits\": "
-        << load(GetFastPathStats().ln_short_circuits) << "},\n";
-  }
-  out << "  \"disagreements\": [";
-  bool first = true;
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kMultiLine)
+      .Member("schemas_checked", schemas_checked)
+      .Member("class_verdicts_compared", class_verdicts_compared)
+      .Member("sat_confirmed_by_oracle", sat_confirmed_by_oracle)
+      .Member("unsat_consistent_up_to_bound", unsat_consistent_up_to_bound)
+      .Member("sat_beyond_bound", sat_beyond_bound)
+      .Member("oracle_exhausted", oracle_exhausted)
+      .Member("baseline_schemas", baseline_schemas)
+      .Member("metamorphic_mutants", metamorphic_mutants)
+      .Member("witnesses_certified", witnesses_certified)
+      .Member("saturation_models_certified", saturation_models_certified)
+      .Member("sat_confirmed_by_saturation", sat_confirmed_by_saturation)
+      .Member("unsat_confirmed_by_saturation", unsat_confirmed_by_saturation)
+      .Member("sat_without_finite_witness", sat_without_finite_witness)
+      .Member("infinite_model_contrasts", infinite_model_contrasts)
+      .Member("saturation_unknown", saturation_unknown);
+  // Process-wide solver counters at report time; with the CLI's
+  // reset-at-command-start discipline they cover exactly this sweep.
+  const SimplexStats& lp = GetSimplexStats();
+  const ImplicationStats& probe = GetImplicationStats();
+  const ExpansionStats& expand = GetExpansionStats();
+  json.Key("stats")
+      .BeginObject()
+      .Member("solves", lp.solves)
+      .Member("pivots", lp.pivots)
+      .Member("warm_start_hits", lp.warm_start_hits)
+      .Member("warm_start_misses", lp.warm_start_misses)
+      .Member("dual_pivots", lp.dual_pivots)
+      .Member("incremental_hits", lp.incremental_hits)
+      .Member("incremental_fallbacks", lp.incremental_fallbacks)
+      .Member("dominance_lookups", probe.dominance_lookups)
+      .Member("dominance_hits", probe.dominance_hits)
+      .Member("derived_disjoint_pairs", expand.derived_disjoint_pairs)
+      .Member("pruned_subtrees", expand.pruned_subtrees)
+      .Member("ln_short_circuits", GetFastPathStats().ln_short_circuits)
+      .End();
+  json.Key("disagreements").BeginArray(JsonLayout::kMultiLine);
   for (const ConformanceDisagreement& d : disagreements) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"seed\": " << d.seed << ", \"kind\": \""
-        << JsonEscape(d.kind) << "\", \"class\": \""
-        << JsonEscape(d.class_name) << "\", \"detail\": \""
-        << JsonEscape(d.detail) << "\", \"schema\": \""
-        << JsonEscape(d.schema_text) << "\", \"minimized\": \""
-        << JsonEscape(d.minimized_schema_text) << "\"}";
+    json.BeginObject().Member("seed", d.seed).Member("kind", d.kind);
+    json.Member("class", d.class_name).Member("detail", d.detail);
+    json.Member("schema", d.schema_text);
+    json.Member("minimized", d.minimized_schema_text).End();
   }
-  out << (disagreements.empty() ? "]" : "\n  ]") << "\n}";
-  return out.str();
+  return json.End().End().str();
 }
 
 std::string ConformanceReport::Summary() const {
@@ -866,43 +848,30 @@ struct ScopedChaosFaults {
 }  // namespace
 
 std::string ChaosReport::ToJson() const {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"seeds_swept\": " << seeds_swept << ",\n"
-      << "  \"faulted_runs_agreeing\": " << faulted_runs_agreeing << ",\n"
-      << "  \"degraded_to_unknown\": " << degraded_to_unknown << ",\n"
-      << "  \"witnesses_survived\": " << witnesses_survived << ",\n"
-      << "  \"witness_benign_failures\": " << witness_benign_failures
-      << ",\n"
-      << "  \"failpoints_armed\": " << failpoints_armed << ",\n"
-      << "  \"faults_fired\": " << faults_fired << ",\n"
-      << "  \"fires_by_failpoint\": {";
-  {
-    bool first = true;
-    for (const auto& entry : fires_by_failpoint) {
-      out << (first ? "" : ", ") << "\"" << JsonEscape(entry.first)
-          << "\": " << entry.second;
-      first = false;
-    }
+  JsonWriter json;
+  json.BeginObject(JsonLayout::kMultiLine)
+      .Member("seeds_swept", seeds_swept)
+      .Member("faulted_runs_agreeing", faulted_runs_agreeing)
+      .Member("degraded_to_unknown", degraded_to_unknown)
+      .Member("witnesses_survived", witnesses_survived)
+      .Member("witness_benign_failures", witness_benign_failures)
+      .Member("failpoints_armed", failpoints_armed)
+      .Member("faults_fired", faults_fired)
+      .Key("fires_by_failpoint").BeginObject();
+  for (const auto& [failpoint, fires] : fires_by_failpoint) {
+    json.Member(failpoint, fires);
   }
-  out << "},\n";
   // Ladder-transition counters for the whole sweep (reset-at-start
   // discipline, same as the solver stats in ConformanceReport).
-  out << "  \"recovery\": " << GetRecoveryStats().ToJson() << ",\n";
-  out << "  \"flips\": [";
-  bool first = true;
+  json.End().Key("recovery").Raw(GetRecoveryStats().ToJson());
+  json.Key("flips").BeginArray(JsonLayout::kMultiLine);
   for (const ChaosVerdictFlip& flip : flips) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"seed\": " << flip.seed << ", \"kind\": \""
-        << JsonEscape(flip.kind) << "\", \"class\": \""
-        << JsonEscape(flip.class_name) << "\", \"faults\": \""
-        << JsonEscape(flip.fault_schedule) << "\", \"detail\": \""
-        << JsonEscape(flip.detail) << "\", \"schema\": \""
-        << JsonEscape(flip.schema_text) << "\"}";
+    json.BeginObject().Member("seed", flip.seed).Member("kind", flip.kind);
+    json.Member("class", flip.class_name);
+    json.Member("faults", flip.fault_schedule).Member("detail", flip.detail);
+    json.Member("schema", flip.schema_text).End();
   }
-  out << (flips.empty() ? "]" : "\n  ]") << "\n}";
-  return out.str();
+  return json.End().End().str();
 }
 
 std::string ChaosReport::Summary() const {

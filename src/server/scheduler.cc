@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/failpoint.h"
+#include "src/base/json.h"
 
 namespace crsat {
 namespace server {
@@ -23,17 +24,13 @@ constexpr std::uint64_t kQuantum = 4;
 }  // namespace
 
 std::string RequestScheduler::Stats::ToJson() const {
-  auto field = [](const char* name, std::uint64_t value) {
-    return "\"" + std::string(name) + "\": " + std::to_string(value);
-  };
-  return "{" + field("submitted", submitted) + ", " +
-         field("admitted", admitted) + ", " + field("shed", shed) + ", " +
-         field("refused_draining", refused_draining) + ", " +
-         field("completed", completed) + ", " +
-         field("queued_now", queued_now) + ", " +
-         field("running_now", running_now) + ", " +
-         field("lanes_now", lanes_now) + ", " +
-         field("max_concurrency", max_concurrency) + "}";
+  JsonWriter json;
+  json.BeginObject().Member("submitted", submitted);
+  json.Member("admitted", admitted).Member("shed", shed);
+  json.Member("refused_draining", refused_draining);
+  json.Member("completed", completed).Member("queued_now", queued_now);
+  json.Member("running_now", running_now).Member("lanes_now", lanes_now);
+  return json.Member("max_concurrency", max_concurrency).End().str();
 }
 
 RequestScheduler::RequestScheduler(ThreadPool* pool, const Options& options)

@@ -14,68 +14,41 @@ std::string WitnessToJson(const CertifiedWitness& witness) {
   const Interpretation& interpretation = witness.interpretation();
   const Schema& schema = interpretation.schema();
   const WitnessStats& stats = witness.stats();
+  constexpr JsonLayout kCompact = JsonLayout::kCompact;
 
-  std::string json = "{\"certified\":true";
-  json += ",\"individuals\":" + std::to_string(stats.individuals);
-  json += ",\"tuples\":" + std::to_string(stats.tuples);
-  json += ",\"stats\":{\"integer_fast_path\":";
-  json += stats.integer_fast_path ? "true" : "false";
-  json += ",\"integer_exact_fallback\":";
-  json += stats.integer_exact_fallback ? "true" : "false";
-  json += ",\"scaling_attempts\":" + std::to_string(stats.scaling_attempts);
-  json += ",\"flow_refinements\":" + std::to_string(stats.flow_refinements);
-  json += "}";
+  JsonWriter json;
+  json.BeginObject(kCompact).Member("certified", true);
+  json.Member("individuals", stats.individuals).Member("tuples", stats.tuples);
+  json.Key("stats").BeginObject(kCompact);
+  json.Member("integer_fast_path", stats.integer_fast_path);
+  json.Member("integer_exact_fallback", stats.integer_exact_fallback);
+  json.Member("scaling_attempts", stats.scaling_attempts);
+  json.Member("flow_refinements", stats.flow_refinements).End();
 
-  json += ",\"classes\":{";
-  bool first_class = true;
+  json.Key("classes").BeginObject(kCompact);
   for (ClassId cls : schema.AllClasses()) {
-    if (!first_class) {
-      json += ",";
-    }
-    first_class = false;
-    json += "\"" + JsonEscape(schema.ClassName(cls)) + "\":[";
-    bool first_member = true;
+    json.Key(schema.ClassName(cls)).BeginArray(kCompact);
     for (Individual individual : interpretation.ClassExtension(cls)) {
-      if (!first_member) {
-        json += ",";
-      }
-      first_member = false;
-      json += "\"" + JsonEscape(interpretation.IndividualName(individual)) +
-              "\"";
+      json.Value(interpretation.IndividualName(individual));
     }
-    json += "]";
+    json.End();
   }
-  json += "}";
+  json.End();
 
-  json += ",\"relationships\":{";
-  bool first_rel = true;
+  json.Key("relationships").BeginObject(kCompact);
   for (RelationshipId rel : schema.AllRelationships()) {
-    if (!first_rel) {
-      json += ",";
-    }
-    first_rel = false;
-    json += "\"" + JsonEscape(schema.RelationshipName(rel)) + "\":[";
-    bool first_tuple = true;
+    json.Key(schema.RelationshipName(rel)).BeginArray(kCompact);
     for (const std::vector<Individual>& tuple :
          interpretation.RelationshipExtension(rel)) {
-      if (!first_tuple) {
-        json += ",";
+      json.BeginArray(kCompact);
+      for (Individual member : tuple) {
+        json.Value(interpretation.IndividualName(member));
       }
-      first_tuple = false;
-      json += "[";
-      for (size_t k = 0; k < tuple.size(); ++k) {
-        if (k > 0) {
-          json += ",";
-        }
-        json += "\"" + JsonEscape(interpretation.IndividualName(tuple[k])) +
-                "\"";
-      }
-      json += "]";
+      json.End();
     }
-    json += "]";
+    json.End();
   }
-  json += "}}";
-  return json;
+  return json.End().End().str();
 }
 
 std::string WitnessToDot(const CertifiedWitness& witness) {

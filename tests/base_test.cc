@@ -1,3 +1,5 @@
+#include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -168,12 +170,13 @@ TEST(IdsTest, StreamInsertion) {
 }
 
 
-TEST(JsonEscapeTest, EscapesQuotesBackslashesAndEveryControlByte) {
-  struct Case {
-    std::string input;
-    std::string escaped;
-  };
-  const Case cases[] = {
+struct EscapeCase {
+  std::string input;
+  std::string escaped;
+};
+
+const std::vector<EscapeCase>& EscapeCases() {
+  static const std::vector<EscapeCase> cases = {
       {"", ""},
       {"plain text", "plain text"},
       {"say \"hi\"", "say \\\"hi\\\""},
@@ -187,9 +190,82 @@ TEST(JsonEscapeTest, EscapesQuotesBackslashesAndEveryControlByte) {
       {"\x7f", "\x7f"},              // DEL is not a control byte in JSON.
       {"caf\xc3\xa9", "caf\xc3\xa9"},  // UTF-8 passes through.
   };
-  for (const Case& c : cases) {
+  return cases;
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashesAndEveryControlByte) {
+  for (const EscapeCase& c : EscapeCases()) {
     EXPECT_EQ(JsonEscape(c.input), c.escaped) << c.escaped;
   }
+}
+
+// {"n": 1, "inner": [true, "x"]} with the object in `outer` layout and
+// the array in `inner`.
+std::string Nested(JsonLayout outer, JsonLayout inner) {
+  JsonWriter json;
+  json.BeginObject(outer).Member("n", 1).Key("inner").BeginArray(inner);
+  return json.Value(true).Value("x").End().End().str();
+}
+
+TEST(JsonWriterTest, EachLayoutNestsInEachOther) {
+  constexpr JsonLayout kMulti = JsonLayout::kMultiLine;
+  constexpr JsonLayout kInline = JsonLayout::kInline;
+  constexpr JsonLayout kCompact = JsonLayout::kCompact;
+  EXPECT_EQ(Nested(kMulti, kMulti),
+            "{\n  \"n\": 1,\n  \"inner\": [\n    true,\n    \"x\"\n  ]\n}");
+  EXPECT_EQ(Nested(kMulti, kInline),
+            "{\n  \"n\": 1,\n  \"inner\": [true, \"x\"]\n}");
+  EXPECT_EQ(Nested(kMulti, kCompact),
+            "{\n  \"n\": 1,\n  \"inner\": [true,\"x\"]\n}");
+  EXPECT_EQ(Nested(kInline, kMulti),
+            "{\"n\": 1, \"inner\": [\n    true,\n    \"x\"\n  ]}");
+  EXPECT_EQ(Nested(kInline, kInline), "{\"n\": 1, \"inner\": [true, \"x\"]}");
+  EXPECT_EQ(Nested(kInline, kCompact), "{\"n\": 1, \"inner\": [true,\"x\"]}");
+  EXPECT_EQ(Nested(kCompact, kMulti),
+            "{\"n\":1,\"inner\":[\n    true,\n    \"x\"\n  ]}");
+  EXPECT_EQ(Nested(kCompact, kInline), "{\"n\":1,\"inner\":[true, \"x\"]}");
+  EXPECT_EQ(Nested(kCompact, kCompact), "{\"n\":1,\"inner\":[true,\"x\"]}");
+}
+
+TEST(JsonWriterTest, EmptyContainersAreBracketPairsInEveryLayout) {
+  for (JsonLayout layout : {JsonLayout::kMultiLine, JsonLayout::kInline,
+                            JsonLayout::kCompact}) {
+    EXPECT_EQ(JsonWriter().BeginObject(layout).End().str(), "{}");
+    EXPECT_EQ(JsonWriter().BeginArray(layout).End().str(), "[]");
+    JsonWriter json;
+    json.BeginObject(JsonLayout::kMultiLine).Key("a").BeginArray(layout);
+    EXPECT_EQ(json.End().Key("b").BeginObject(layout).End().End().str(),
+              "{\n  \"a\": [],\n  \"b\": {}\n}");
+  }
+}
+
+TEST(JsonWriterTest, StringsAndKeysAreQuotedAndEscaped) {
+  for (const EscapeCase& c : EscapeCases()) {
+    EXPECT_EQ(JsonWriter().Value(c.input).str(), "\"" + c.escaped + "\"");
+    EXPECT_EQ(JsonWriter().BeginObject().Member(c.input, 0).End().str(),
+              "{\"" + c.escaped + "\": 0}");
+  }
+}
+
+TEST(JsonWriterTest, NumbersPrintAsTheStreamsDo) {
+  EXPECT_EQ(JsonWriter().Value(UINT64_MAX).str(), "18446744073709551615");
+  EXPECT_EQ(JsonWriter().Value(-7).str(), "-7");
+  EXPECT_EQ(JsonWriter().Value(true).str(), "true");
+  EXPECT_EQ(JsonWriter().Value(false).str(), "false");
+  std::atomic<std::uint64_t> counter{42};
+  EXPECT_EQ(JsonWriter().Value(counter).str(), "42");
+  for (double d : {0.303627, 2476.91, 1e6, 1e-7, 0.0, -3.5, 1.0 / 3}) {
+    std::ostringstream expected;
+    expected << d;
+    EXPECT_EQ(JsonWriter().Value(d).str(), expected.str());
+  }
+  EXPECT_EQ(JsonWriter().Value(1e6).str(), "1e+06");
+}
+
+TEST(JsonWriterTest, RawEmbedsAnotherRendersOutput) {
+  JsonWriter json;
+  json.BeginObject().Key("inner").Raw("{\"a\": 1}").Member("b", 2);
+  EXPECT_EQ(json.End().str(), "{\"inner\": {\"a\": 1}, \"b\": 2}");
 }
 
 }  // namespace

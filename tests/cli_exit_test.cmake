@@ -206,4 +206,74 @@ if(NOT golden_files STREQUAL reached_goldens)
     "unsatisfiable example classes ${reached_goldens}")
 endif()
 
+# JSON output is locked byte for byte by tests/golden/*.json. For every
+# example schema that parses: `check --json --threads 1` (<schema>.check),
+# `check --backend=saturation --json` (.saturation), `lint --json` (.lint)
+# and, when it is under 4 KiB, `check --json --witness=json --threads 1`
+# (.witness). Also lint on lint_demo.cr, the 10-seed conformance and chaos
+# reports, and a tripped compound budget (meeting.trip). Every
+# "elapsed_ms" value is masked on both sides. Every golden JSON file must
+# be reached. The files pin solver counters too, so a change that moves
+# a counter re-records them.
+file(GLOB golden_json RELATIVE "${GOLDEN}" "${GOLDEN}/*.json")
+set(reached_json "")
+# Compares the stdout of `crsat_cli ARGN` with tests/golden/<name>. With a
+# nonzero `size_limit`, an output of at least that many bytes is not
+# pinned.
+function(expect_golden_json name size_limit)
+  execute_process(
+    COMMAND ${CRSAT_CLI} ${ARGN}
+    OUTPUT_VARIABLE actual
+    ERROR_QUIET)
+  string(LENGTH "${actual}" size)
+  if(size_limit GREATER 0 AND NOT size LESS size_limit)
+    return()
+  endif()
+  string(JOIN " " argv ${ARGN})
+  if(NOT EXISTS "${GOLDEN}/${name}")
+    message(FATAL_ERROR "no golden file tests/golden/${name} for crsat_cli "
+      "${argv}")
+  endif()
+  file(READ "${GOLDEN}/${name}" expected)
+  set(elapsed "\"elapsed_ms\": [^,}]*")
+  string(REGEX REPLACE "${elapsed}" "\"elapsed_ms\": masked" expected
+    "${expected}")
+  string(REGEX REPLACE "${elapsed}" "\"elapsed_ms\": masked" actual
+    "${actual}")
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR "crsat_cli ${argv}: output differs from "
+      "tests/golden/${name}:\n${actual}")
+  endif()
+  set(reached_json ${reached_json} ${name} PARENT_SCOPE)
+endfunction()
+foreach(schema_file ${schema_files})
+  get_filename_component(schema "${schema_file}" NAME_WE)
+  execute_process(
+    COMMAND ${CRSAT_CLI} check "${schema_file}"
+    OUTPUT_VARIABLE check_out
+    ERROR_QUIET)
+  if(check_out STREQUAL "")
+    continue()  # Not a schema (a state file, or lint_demo's empty range).
+  endif()
+  expect_golden_json(${schema}.check.json 0
+    check "${schema_file}" --json --threads 1)
+  expect_golden_json(${schema}.saturation.json 0
+    check "${schema_file}" --backend=saturation --json)
+  expect_golden_json(${schema}.lint.json 0 lint "${schema_file}" --json)
+  expect_golden_json(${schema}.witness.json 4096
+    check "${schema_file}" --json --witness=json --threads 1)
+endforeach()
+expect_golden_json(lint_demo.lint.json 0
+  lint "${SCHEMAS}/lint_demo.cr" --json)
+expect_golden_json(conform.json 0 conform --seeds 10 --json)
+expect_golden_json(conform.chaos.json 0 conform --chaos-seeds 10 --json)
+expect_golden_json(meeting.trip.json 0
+  check "${SCHEMAS}/meeting.cr" --json --max-compounds 5)
+list(SORT golden_json)
+list(SORT reached_json)
+if(NOT golden_json STREQUAL reached_json)
+  message(FATAL_ERROR "golden JSON files ${golden_json} do not match the "
+    "outputs checked ${reached_json}")
+endif()
+
 message(STATUS "cli_exit_test: all exit-code expectations held")

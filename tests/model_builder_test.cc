@@ -8,7 +8,6 @@
 
 #include "src/cr/model_checker.h"
 #include "src/reasoner/satisfiability.h"
-#include "src/witness/integer_solution.h"
 #include "src/witness/witness.h"
 #include "tests/test_schemas.h"
 

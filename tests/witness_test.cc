@@ -17,7 +17,6 @@
 #include "src/lp/homogeneous.h"
 #include "src/lp/simplex.h"
 #include "src/reasoner/satisfiability.h"
-#include "src/witness/integer_solution.h"
 #include "src/witness/witness.h"
 #include "src/witness/witness_text.h"
 
@@ -335,9 +334,7 @@ TEST(SolveIntegerStageTest, ProducesAcceptableIntegers) {
   Expansion expansion = Expansion::Build(parsed.schema).value();
   SatisfiabilityChecker checker(expansion);
   ASSERT_TRUE(checker.SatisfiableClasses().value()[0]);
-  WitnessStats stats;
-  IntegerSolution solution =
-      SolveIntegerStage(checker, WitnessOptions{}, &stats).value();
+  IntegerSolution solution = checker.AcceptableIntegerSolution().value();
   ASSERT_EQ(solution.class_counts.size(), expansion.classes().size());
   ASSERT_EQ(solution.rel_counts.size(), expansion.relationships().size());
   // Acceptability on the integers: populated relationship => populated

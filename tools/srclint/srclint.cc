@@ -951,20 +951,14 @@ std::string FindingsToText(const std::vector<Finding>& findings) {
 }
 
 std::string FindingsToJson(const std::vector<Finding>& findings) {
-  std::string out = "{\"findings\": [";
-  bool first = true;
+  crsat::JsonWriter json;
+  json.BeginObject().Key("findings").BeginArray();
   for (const Finding& finding : findings) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "{\"file\": \"" + crsat::JsonEscape(finding.file) +
-           "\", \"line\": " + std::to_string(finding.line) + ", \"rule\": \"" +
-           crsat::JsonEscape(finding.rule) + "\", \"message\": \"" +
-           crsat::JsonEscape(finding.message) + "\"}";
+    json.BeginObject().Member("file", finding.file);
+    json.Member("line", finding.line).Member("rule", finding.rule);
+    json.Member("message", finding.message).End();
   }
-  out += "], \"count\": " + std::to_string(findings.size()) + "}";
-  return out;
+  return json.End().Member("count", findings.size()).End().str();
 }
 
 }  // namespace srclint
