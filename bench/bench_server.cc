@@ -122,7 +122,9 @@ std::string MixKey(const std::string& schema, int step) {
 Reply OneShotReply(const SchemaFile& schema, const crsat::NamedSchema& parsed,
                    int step) {
   const std::string payload = Payload(schema, step);
-  crsat::commands::Analysis analysis(parsed.schema);
+  crsat::commands::Analysis analysis(
+      parsed.schema,
+      /*witness_may_follow=*/kMix[step].type == RequestType::kWitness);
   crsat::server::HandlerResult result;
   switch (kMix[step].type) {
     case RequestType::kCheck:

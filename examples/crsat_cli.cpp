@@ -918,7 +918,8 @@ int RealMain(int argc, char** argv) {
       }
       return RunSaturationCheck(*parsed, json, guard_flags.Guard());
     }
-    crsat::commands::Analysis analysis(schema);
+    crsat::commands::Analysis analysis(
+        schema, /*witness_may_follow=*/!witness_mode.empty());
     return Print(crsat::commands::Check(*parsed, analysis, json, witness_mode,
                                         guard_flags.Guard()));
   }
@@ -950,7 +951,7 @@ int RealMain(int argc, char** argv) {
     return RunDebug(schema, argv[3]);
   }
   if (command == "implies") {
-    crsat::commands::Analysis analysis(schema);
+    crsat::commands::Analysis analysis(schema, /*witness_may_follow=*/false);
     return Print(crsat::commands::Implies(analysis, JoinArgs(3, argc, argv),
                                           /*guard=*/nullptr));
   }

@@ -42,6 +42,7 @@ Result<const SatisfiabilityChecker*> Analysis::Checker(ResourceGuard* guard) {
   reasoning->expansion.emplace(std::move(expansion));
   reasoning->checker.emplace(*reasoning->expansion);
   reasoning->checker->SetKnownEmptyClasses(reasoning->known_empty);
+  reasoning->checker->SetMinimalWitness(witness_may_follow_);
   const Result<AcceptableSupport>& support =
       reasoning->checker->Support(guard);
   if (!support.ok()) {

@@ -34,12 +34,20 @@ namespace commands {
 /// its own guard and checks it once (site `analysis/reuse`), so a compound
 /// budget the analysis exceeds is refused as if the caller had built it.
 ///
+/// Witness: the support carries the minimal witness only when a witness
+/// may be asked of this analysis (`witness_may_follow`); otherwise the
+/// cover LP skips its second stage, and a witness synthesized anyway
+/// scales a valid but not minimal solution.
+///
 /// Thread-compatible: one caller at a time, as crsatd runs one request
 /// per session at a time.
 class Analysis {
  public:
-  /// `schema` must outlive the analysis. Computes nothing yet.
-  explicit Analysis(const Schema& schema) : schema_(&schema) {}
+  /// `schema` must outlive the analysis. Computes nothing yet. The
+  /// one-shot CLI passes whether `check --witness` was given; crsatd
+  /// sessions pass true, since any later request may be a `witness`.
+  Analysis(const Schema& schema, bool witness_may_follow)
+      : schema_(&schema), witness_may_follow_(witness_may_follow) {}
 
   Analysis(const Analysis&) = delete;
   Analysis& operator=(const Analysis&) = delete;
@@ -67,6 +75,7 @@ class Analysis {
   };
 
   const Schema* schema_;
+  bool witness_may_follow_;
   std::optional<std::optional<std::vector<bool>>> fast_verdicts_;
   std::unique_ptr<Reasoning> reasoning_;
 };

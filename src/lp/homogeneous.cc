@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "src/base/degradation.h"
@@ -134,6 +135,75 @@ std::vector<BigInt> ScaleSolution(const std::vector<BigInt>& values,
   return scaled;
 }
 
+namespace {
+
+// `system` with the `forced_zero` variables substituted out: they are zero
+// on the subspace of interest, so their terms just vanish and the LP never
+// sees them. `to_pinned[v]` is v's variable in `system`, or -1 when v is
+// forced to zero; `from_pinned` maps back.
+struct PinnedSystem {
+  LinearSystem system;
+  std::vector<VarId> to_pinned;
+  std::vector<VarId> from_pinned;
+};
+
+PinnedSystem PinToZero(const LinearSystem& system,
+                       const std::vector<bool>& forced_zero) {
+  PinnedSystem pinned;
+  pinned.to_pinned.assign(system.num_variables(), -1);
+  for (VarId v = 0; v < system.num_variables(); ++v) {
+    if (!forced_zero[v]) {
+      pinned.to_pinned[v] = pinned.system.AddVariable(system.VariableName(v),
+                                                      /*nonnegative=*/true);
+      pinned.from_pinned.push_back(v);
+    }
+  }
+  for (const Constraint& constraint : system.constraints()) {
+    LinearExpr remapped;
+    for (const auto& [var, coeff] : constraint.expr.terms()) {
+      if (pinned.to_pinned[var] >= 0) {
+        remapped.AddTerm(pinned.to_pinned[var], coeff);
+      }
+    }
+    pinned.system.AddConstraint(std::move(remapped), constraint.sense);
+  }
+  return pinned;
+}
+
+// The row count of every `sum of G >= 1` probe over `pinned`: with its
+// variable count, the `WarmStartBasisCache` key of the probe shape.
+int ProbeRows(const LinearSystem& pinned) {
+  return static_cast<int>(pinned.constraints().size()) + 1;
+}
+
+// One feasibility probe: `pinned + {sum of group >= 1}` (equivalent by
+// scaling to "some member of the group positive" on the cone). Starts from
+// `warm_start` when it is non-null and non-empty; an optimal solve leaves
+// its final basis in `exported`.
+Result<LpResult> SolveGroupProbe(const LinearSystem& pinned,
+                                 const std::vector<VarId>& group,
+                                 const WarmStartBasis* warm_start,
+                                 WarmStartBasis* exported,
+                                 ResourceGuard* guard) {
+  LinearSystem probe = pinned;
+  LinearExpr at_least_one;
+  for (VarId u : group) {
+    at_least_one.AddTerm(u, Rational(1));
+  }
+  at_least_one.AddConstant(Rational(-1));
+  probe.AddGe(std::move(at_least_one));
+  SimplexOptions options;
+  if (warm_start != nullptr && !warm_start->empty()) {
+    options.warm_start = warm_start;
+  }
+  options.export_basis = exported;
+  options.guard = guard;
+  return SimplexSolver::SolveWith(probe, LinearExpr(), /*maximize=*/false,
+                                  options);
+}
+
+}  // namespace
+
 Result<SupportResult> ComputeMaximalSupport(
     const LinearSystem& system, const std::vector<bool>& forced_zero,
     WarmStartBasisCache* basis_cache, ResourceGuard* guard,
@@ -162,27 +232,9 @@ Result<SupportResult> ComputeMaximalSupport(
   result.positive.assign(n, false);
   result.witness.assign(n, Rational());
 
-  // Substitute the pinned variables out: they are zero on the subspace of
-  // interest, so their terms just vanish and the LP never sees them.
-  std::vector<VarId> to_probe(n, -1);
-  std::vector<VarId> from_probe;
-  LinearSystem pinned;
-  for (VarId v = 0; v < n; ++v) {
-    if (!forced_zero[v]) {
-      to_probe[v] = pinned.AddVariable(system.VariableName(v),
-                                      /*nonnegative=*/true);
-      from_probe.push_back(v);
-    }
-  }
-  for (const Constraint& constraint : system.constraints()) {
-    LinearExpr remapped;
-    for (const auto& [var, coeff] : constraint.expr.terms()) {
-      if (to_probe[var] >= 0) {
-        remapped.AddTerm(to_probe[var], coeff);
-      }
-    }
-    pinned.AddConstraint(std::move(remapped), constraint.sense);
-  }
+  const PinnedSystem pinned_system = PinToZero(system, forced_zero);
+  const LinearSystem& pinned = pinned_system.system;
+  const std::vector<VarId>& from_probe = pinned_system.from_pinned;
   // Group probing. Each probe asks one feasibility question about
   // a group G of still-undetermined variables:
   //
@@ -307,8 +359,7 @@ Result<SupportResult> ComputeMaximalSupport(
   }
 
   constexpr size_t kMaxGroupsPerRound = 8;
-  const int probe_constraints =
-      static_cast<int>(pinned.constraints().size()) + 1;
+  const int probe_constraints = ProbeRows(pinned);
   WarmStartBasis carry;
   if (basis_cache != nullptr) {
     const WarmStartBasis* cached =
@@ -339,24 +390,12 @@ Result<SupportResult> ComputeMaximalSupport(
     for (size_t g = 0; g < num_groups; ++g) {
       const size_t begin = g * undetermined.size() / num_groups;
       const size_t end = (g + 1) * undetermined.size() / num_groups;
-      LinearSystem probe = pinned;
-      LinearExpr at_least_one;
-      for (size_t i = begin; i < end; ++i) {
-        at_least_one.AddTerm(undetermined[i], Rational(1));
-      }
-      at_least_one.AddConstant(Rational(-1));
-      probe.AddGe(std::move(at_least_one));
-      SimplexOptions options;
-      if (!carry.empty()) {
-        options.warm_start = &carry;
-      }
+      const std::vector<VarId> group(undetermined.begin() + begin,
+                                     undetermined.begin() + end);
       WarmStartBasis exported;
-      options.export_basis = &exported;
-      options.guard = guard;
       CRSAT_ASSIGN_OR_RETURN(
           LpResult verdict,
-          SimplexSolver::SolveWith(probe, LinearExpr(), /*maximize=*/false,
-                                   options));
+          SolveGroupProbe(pinned, group, &carry, &exported, guard));
       if (next_carry.empty()) {
         next_carry = std::move(exported);
       }
@@ -491,6 +530,57 @@ Result<AcceptableSupport> ComputeAcceptableSupport(
                                  guard));
   }
   return result;
+}
+
+Result<std::optional<bool>> ProbeAcceptableTarget(
+    const LinearSystem& system, const std::vector<Dependency>& dependencies,
+    const std::vector<bool>& seed_zero, const std::vector<VarId>& target,
+    WarmStartBasisCache* probe_cache, ResourceGuard* guard) {
+  if (seed_zero.size() != static_cast<size_t>(system.num_variables())) {
+    return InvalidArgumentError(
+        "seed_zero size must match the number of variables");
+  }
+  if (std::all_of(target.begin(), target.end(),
+                  [&](VarId v) { return seed_zero[v]; })) {
+    return std::optional<bool>(false);  // Every target unknown is seeded.
+  }
+  const PinnedSystem pinned = PinToZero(system, seed_zero);
+  std::vector<VarId> group;
+  for (VarId v : target) {
+    if (pinned.to_pinned[v] >= 0) {
+      group.push_back(pinned.to_pinned[v]);
+    }
+  }
+  const int num_variables = pinned.system.num_variables();
+  const int rows = ProbeRows(pinned.system);
+  const WarmStartBasis* cached =
+      probe_cache != nullptr ? probe_cache->Lookup(num_variables, rows)
+                             : nullptr;
+  WarmStartBasis exported;
+  CRSAT_ASSIGN_OR_RETURN(
+      LpResult lp,
+      SolveGroupProbe(pinned.system, group, cached, &exported, guard));
+  if (probe_cache != nullptr && !exported.empty()) {
+    probe_cache->Store(num_variables, rows, std::move(exported));
+  }
+  if (lp.outcome != LpOutcome::kOptimal) {
+    return std::optional<bool>(false);
+  }
+  auto positive = [&](VarId v) {
+    return pinned.to_pinned[v] >= 0 &&
+           lp.values[pinned.to_pinned[v]].IsPositive();
+  };
+  for (const Dependency& dependency : dependencies) {
+    if (!positive(dependency.dependent)) {
+      continue;
+    }
+    for (VarId source : dependency.depends_on) {
+      if (!positive(source)) {
+        return std::optional<bool>();  // Not acceptable: undecided.
+      }
+    }
+  }
+  return std::optional<bool>(true);
 }
 
 }  // namespace crsat

@@ -1,6 +1,7 @@
 #ifndef CRSAT_LP_HOMOGENEOUS_H_
 #define CRSAT_LP_HOMOGENEOUS_H_
 
+#include <optional>
 #include <vector>
 
 #include "src/base/result.h"
@@ -170,6 +171,28 @@ Result<AcceptableSupport> ComputeAcceptableSupport(
     WarmStartBasisCache* probe_cache = nullptr, ResourceGuard* guard = nullptr,
     const std::vector<bool>* seed_zero = nullptr,
     bool minimal_witness = false);
+
+/// Theorem 3.3's question for one target, asked of a single LP: is there
+/// an acceptable solution of `system` (homogeneous and non-strict, over
+/// nonnegative variables, as for `ComputeAcceptableSupport`) with some
+/// `target` variable positive? Solves the cone with the `seed_zero`
+/// variables substituted
+/// out, plus one row `sum of target >= 1` (the probe shape of
+/// `ComputeMaximalSupport`'s rounds, so `probe_cache` serves and keeps it
+/// the same way). The seeds must be sound, as for
+/// `ComputeAcceptableSupport`. Three outcomes:
+///   - infeasible: no solution, so no acceptable one: `false`;
+///   - a vertex on which every positive dependent has all its sources
+///     positive: it is an acceptable solution with a positive target
+///     (scaled, an acceptable integer solution): `true`;
+///   - any other vertex is not acceptable and settles nothing: nullopt,
+///     and the caller runs the support fixpoint (Theorem 3.4).
+/// `guard`, when non-null, is polled per pivot; a trip returns its status.
+Result<std::optional<bool>> ProbeAcceptableTarget(
+    const LinearSystem& system, const std::vector<Dependency>& dependencies,
+    const std::vector<bool>& seed_zero, const std::vector<VarId>& target,
+    WarmStartBasisCache* probe_cache = nullptr,
+    ResourceGuard* guard = nullptr);
 
 }  // namespace crsat
 

@@ -74,6 +74,31 @@ Result<std::vector<bool>> ReasonerVerdicts(
   return result;
 }
 
+/// The classes on which `IsClassSatisfiable`, asked of a fresh checker
+/// per class, differs from `SatisfiableClasses`, both over the production
+/// pipeline's expansion and provably-empty hints. A fresh checker has no
+/// support, so each query takes the target LP (Theorem 3.3) and computes
+/// the support only on a non-acceptable vertex.
+Result<std::vector<ClassId>> TargetQueryMismatches(const Schema& schema) {
+  CRSAT_ASSIGN_OR_RETURN(Expansion expansion, Expansion::Build(schema));
+  const std::vector<bool> known_empty =
+      ComputeProvablyEmpty(schema).class_empty;
+  SatisfiabilityChecker support(expansion);
+  support.SetKnownEmptyClasses(known_empty);
+  CRSAT_ASSIGN_OR_RETURN(std::vector<bool> verdicts,
+                         support.SatisfiableClasses());
+  std::vector<ClassId> mismatched;
+  for (ClassId cls : schema.AllClasses()) {
+    SatisfiabilityChecker fresh(expansion);
+    fresh.SetKnownEmptyClasses(known_empty);
+    CRSAT_ASSIGN_OR_RETURN(bool satisfiable, fresh.IsClassSatisfiable(cls));
+    if (satisfiable != verdicts[cls.value]) {
+      mismatched.push_back(cls);
+    }
+  }
+  return mismatched;
+}
+
 /// Synthesizes a certified witness when some class is satisfiable.
 /// Failure statuses propagate so the caller can tell a benign resource
 /// limit from a semantic failure: the production pipeline promises that
@@ -361,6 +386,27 @@ Result<ConformanceReport> RunConformance(const ConformanceOptions& options) {
       }
       report.disagreements.push_back(std::move(disagreement));
     };
+
+    // --- Target queries vs the support --------------------------------
+    // The per-class queries the implication engine and the schema
+    // debugging probes ask must agree with the support the verdicts read.
+    Result<std::vector<ClassId>> mismatched = TargetQueryMismatches(schema);
+    if (!mismatched.ok()) {
+      return Status(mismatched.status().code(),
+                    "reasoner failed on seed " + std::to_string(seed) +
+                        ": " + mismatched.status().message());
+    }
+    for (ClassId cls : *mismatched) {
+      record("target-query-vs-support", cls,
+             "IsClassSatisfiable on a fresh checker differs from "
+             "SatisfiableClasses",
+             [cls](const Schema& candidate) {
+               Result<std::vector<ClassId>> m =
+                   TargetQueryMismatches(candidate);
+               return m.ok() &&
+                      std::find(m->begin(), m->end(), cls) != m->end();
+             });
+    }
 
     // --- Witness cross-check ------------------------------------------
     // Whenever the reasoner reports any satisfiable class, make the

@@ -83,6 +83,9 @@ struct ConformanceDisagreement {
   ///                                  bounds yet the oracle said UNSAT
   ///                                  (oracle completeness bug);
   ///   "reasoner-vs-baseline"       — LN fragment, two solvers disagree;
+  ///   "target-query-vs-support"    — a class query on a fresh checker
+  ///                                  (the target LP, Theorem 3.3) and
+  ///                                  the maximal support disagree;
   ///   "metamorphic:<rule>"         — a verdict-relation theorem violated.
   /// Saturation-engine taxonomy (three-way vote):
   ///   "saturation-missed-violation"      — a saturation finite model

@@ -1,5 +1,6 @@
 #include "src/reasoner/satisfiability.h"
 
+#include <optional>
 #include <utility>
 
 #include "src/base/incremental.h"
@@ -24,26 +25,29 @@ SatisfiabilityChecker::SatisfiabilityChecker(
   }
 }
 
-const std::vector<bool>& SatisfiabilityChecker::StructurallyDeadCompounds()
-    const {
-  if (!dead_compounds_.has_value()) {
-    std::vector<bool> dead = cr_system_.empty_class_compounds;
-    if (!known_empty_.empty()) {
-      for (size_t i = 0; i < expansion_->classes().size(); ++i) {
-        if (dead[i]) {
-          continue;
-        }
-        for (ClassId member : expansion_->classes()[i].Members()) {
-          if (IsKnownEmpty(member)) {
-            dead[i] = true;
-            break;
-          }
+const std::vector<bool>& SatisfiabilityChecker::StructuralZeroSeed() const {
+  if (!zero_seed_.has_value()) {
+    std::vector<bool> seed(cr_system_.system.num_variables(), false);
+    for (size_t i = 0; i < expansion_->classes().size(); ++i) {
+      bool dead = cr_system_.empty_class_compounds[i];
+      for (ClassId member : expansion_->classes()[i].Members()) {
+        dead = dead || IsKnownEmpty(member);
+      }
+      seed[cr_system_.class_vars[i]] = dead;
+    }
+    // One step of dependency propagation: a relationship unknown touching
+    // a dead compound is zero in every acceptable solution too.
+    for (const Dependency& dependency : dependencies_) {
+      for (VarId source : dependency.depends_on) {
+        if (seed[source]) {
+          seed[dependency.dependent] = true;
+          break;
         }
       }
     }
-    dead_compounds_ = std::move(dead);
+    zero_seed_ = std::move(seed);
   }
-  return *dead_compounds_;
+  return *zero_seed_;
 }
 
 const Result<AcceptableSupport>& SatisfiabilityChecker::Support(
@@ -74,32 +78,15 @@ Result<AcceptableSupport> SatisfiabilityChecker::ComputeSupport(
     empty.witness.assign(num_variables, Rational());
     return empty;
   }
-  // Seed the fixpoint with structurally dead unknowns (and, via one step
-  // of dependency propagation, the relationship unknowns touching them)
-  // so the LP never spends probe rounds proving them zero. The seeds are
-  // sound, so the resulting support is the one the unseeded fixpoint
-  // would reach; gated on the incremental toggle purely so the forced
-  // cold reference path runs the historical solve sequence.
-  std::vector<bool> seed;
-  if (IncrementalReasoningEnabled()) {
-    const std::vector<bool>& dead = StructurallyDeadCompounds();
-    seed.assign(num_variables, false);
-    for (size_t i = 0; i < cr_system_.class_vars.size(); ++i) {
-      seed[cr_system_.class_vars[i]] = dead[i];
-    }
-    for (const Dependency& dependency : dependencies_) {
-      for (VarId source : dependency.depends_on) {
-        if (seed[source]) {
-          seed[dependency.dependent] = true;
-          break;
-        }
-      }
-    }
-  }
-  return ComputeAcceptableSupport(cr_system_.system, dependencies_,
-                                  probe_cache_, guard,
-                                  seed.empty() ? nullptr : &seed,
-                                  minimal_witness_);
+  // Seed the fixpoint with structurally dead unknowns so the LP never
+  // spends probe rounds proving them zero. The seeds are sound, so the
+  // resulting support is the one the unseeded fixpoint would reach; gated
+  // on the incremental toggle purely so the forced cold reference path
+  // runs the historical solve sequence.
+  return ComputeAcceptableSupport(
+      cr_system_.system, dependencies_, probe_cache_, guard,
+      IncrementalReasoningEnabled() ? &StructuralZeroSeed() : nullptr,
+      minimal_witness_);
 }
 
 Result<bool> SatisfiabilityChecker::IsClassSatisfiable(ClassId cls) const {
@@ -132,21 +119,24 @@ Result<std::vector<bool>> SatisfiabilityChecker::SatisfiableClasses() const {
 
 Result<bool> SatisfiabilityChecker::IsTargetSatisfiable(
     const std::vector<int>& target_class_indices) const {
-  if (IncrementalReasoningEnabled()) {
-    // If every target compound is structurally dead the verdict is already
-    // settled — skip the support computation entirely. This is the big win
-    // for tight implication probes, where the overridden bound empties
-    // every compound containing the probed class.
-    const std::vector<bool>& dead = StructurallyDeadCompounds();
-    bool all_dead = true;
+  if (IncrementalReasoningEnabled() && !support_.has_value()) {
+    // One LP before the support: infeasible or an acceptable vertex
+    // decides (Theorem 3.3); a non-acceptable vertex falls through to the
+    // fixpoint (Theorem 3.4). A target whose compounds are all
+    // structurally dead needs no LP at all: the big win for tight
+    // implication probes, where the overridden bound empties every
+    // compound containing the probed class.
+    std::vector<VarId> target;
     for (int class_index : target_class_indices) {
-      if (!dead[class_index]) {
-        all_dead = false;
-        break;
-      }
+      target.push_back(cr_system_.class_vars[class_index]);
     }
-    if (all_dead) {
-      return false;
+    CRSAT_ASSIGN_OR_RETURN(
+        std::optional<bool> decided,
+        ProbeAcceptableTarget(cr_system_.system, dependencies_,
+                              StructuralZeroSeed(), target, probe_cache_,
+                              expansion_->options().guard));
+    if (decided.has_value()) {
+      return *decided;
     }
   }
   const Result<AcceptableSupport>& support = Support();

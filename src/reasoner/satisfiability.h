@@ -22,8 +22,9 @@ struct IntegerSolution {
 
 /// Decision procedure for (finite) class satisfiability in CR
 /// (Theorem 3.3). Builds Psi_S once and computes the maximal acceptable
-/// support lazily; all queries are then lookups that read the cached
-/// support in place.
+/// support lazily; once it is computed, all queries are lookups that read
+/// the cached support in place. A target query asked before that is
+/// usually answered by one LP of its own (see `IsTargetSatisfiable`).
 class SatisfiabilityChecker {
  public:
   /// The expansion must outlive the checker. `overrides`, when non-null,
@@ -58,6 +59,16 @@ class SatisfiabilityChecker {
   /// `sum of Var(compound class i) > 0` over the given expansion class
   /// indices? (`IsClassSatisfiable` is the target "all compound classes
   /// containing cls"; ISA implication uses "containing C but not D".)
+  ///
+  /// Once the support is computed the query is a lookup. Before that,
+  /// when `IncrementalReasoningEnabled()`, `ProbeAcceptableTarget` asks
+  /// one LP under the expansion's guard: the structurally pinned cone
+  /// plus `sum of target >= 1`. A target whose compounds are all
+  /// structurally dead is unsatisfiable with no LP; otherwise the LP
+  /// answers `false` when infeasible and `true` on an acceptable vertex
+  /// (Theorem 3.3). Only a non-acceptable vertex computes, and caches,
+  /// the support (Theorem 3.4). A query the LP decides caches nothing,
+  /// so the next query on this checker runs its own LP.
   Result<bool> IsTargetSatisfiable(
       const std::vector<int>& target_class_indices) const;
 
@@ -90,14 +101,16 @@ class SatisfiabilityChecker {
     known_empty_ = std::move(known_empty);
   }
 
-  /// Threads a warm-start basis cache through the (single, cached) support
-  /// computation: every LP probe offers the cache entry matching its shape
-  /// and feasible probes write their final bases back. Intended for callers
-  /// that build many short-lived checkers over the same expansion with
-  /// slightly different cardinality overrides (the implication engine's
-  /// bisection); a stale entry is either repaired by dual pivots or costs
-  /// one rejected warm-start attempt. The pointee must outlive the first
-  /// `Support()` call; pass before any query.
+  /// Threads a warm-start basis cache through the checker's LPs: the
+  /// target probe of `IsTargetSatisfiable` and the (single, cached)
+  /// support computation. Every LP offers the cache entry matching its
+  /// shape and optimal ones write their final bases back. Intended for
+  /// callers that build many short-lived checkers over the same expansion
+  /// with slightly different cardinality overrides (the implication
+  /// engine's bisection, whose target probes then start one pivot or so
+  /// from their answer); a stale entry is either repaired by dual pivots
+  /// or costs one rejected warm-start attempt. The pointee must outlive
+  /// every query; pass before any query.
   void SetProbeBasisCache(WarmStartBasisCache* cache) { probe_cache_ = cache; }
 
   /// Whether the support computation also yields the minimal witness (on
@@ -119,14 +132,15 @@ class SatisfiabilityChecker {
   // The support computation behind `Support`.
   Result<AcceptableSupport> ComputeSupport(ResourceGuard* guard) const;
 
-  // Per compound class, true when it is structurally forced empty: its own
-  // lifted cardinality range is empty (`CrSystem::empty_class_compounds`)
-  // or it contains a schema class from `known_empty_`. Sound facts — both
-  // sources hold in every finite model — so seeding the support fixpoint
-  // with them (and short-circuiting all-dead target queries) changes LP
-  // work, never verdicts. Computed lazily; only consulted when
-  // `IncrementalReasoningEnabled()`.
-  const std::vector<bool>& StructurallyDeadCompounds() const;
+  // Per unknown of Psi_S, true when it is structurally zero: a compound
+  // class whose own lifted cardinality range is empty
+  // (`CrSystem::empty_class_compounds`) or that contains a schema class
+  // from `known_empty_`, and every relationship unknown depending on one.
+  // Sound facts — they hold in every acceptable solution — so seeding the
+  // support fixpoint and the target probe with them (and short-circuiting
+  // all-dead target queries) changes LP work, never verdicts. Computed
+  // lazily; only consulted when `IncrementalReasoningEnabled()`.
+  const std::vector<bool>& StructuralZeroSeed() const;
 
   const Expansion* expansion_;
   CrSystem cr_system_;
@@ -134,7 +148,7 @@ class SatisfiabilityChecker {
   std::vector<bool> known_empty_;
   // Thread confinement (not a lock): a `SatisfiabilityChecker` is
   // *thread-compatible*, not thread-safe — `Support()` mutates the
-  // lazily-cached `support_`/`dead_compounds_` and the cache behind
+  // lazily-cached `support_`/`zero_seed_` and the cache behind
   // `probe_cache_`, so a checker (and any `WarmStartBasisCache` it uses)
   // must be confined to one thread at a time. `Support()` itself runs on
   // the calling thread only. There is deliberately no mutex here —
@@ -142,7 +156,7 @@ class SatisfiabilityChecker {
   // over the shared (immutable) expansion.
   WarmStartBasisCache* probe_cache_ = nullptr;
   bool minimal_witness_ = true;
-  mutable std::optional<std::vector<bool>> dead_compounds_;
+  mutable std::optional<std::vector<bool>> zero_seed_;
   mutable std::optional<Result<AcceptableSupport>> support_;
 };
 

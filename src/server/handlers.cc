@@ -44,7 +44,8 @@ HandlerResult HandleParse(Session& session, const std::string& payload) {
   }
   const std::string name = parsed->name;
   session.schema.emplace(std::move(parsed.value()));
-  session.analysis.emplace(session.schema->schema);
+  session.analysis.emplace(session.schema->schema,
+                           /*witness_may_follow=*/true);
   return {ResponseStatus::kOk, "parsed schema '" + name + "'\n"};
 }
 

@@ -206,6 +206,47 @@ if(NOT golden_files STREQUAL reached_goldens)
     "unsatisfiable example classes ${reached_goldens}")
 endif()
 
+# The implied-cardinality report is locked the same way: for every example
+# schema that `report` accepts (exit 0), its output equals
+# tests/golden/<schema>.report both by default and with
+# CRSAT_NO_INCREMENTAL=1, where no implication probe runs the target LP.
+# Every golden report must be reached.
+file(GLOB golden_reports RELATIVE "${GOLDEN}" "${GOLDEN}/*.report")
+set(reached_reports "")
+foreach(schema_file ${schema_files})
+  get_filename_component(schema "${schema_file}" NAME_WE)
+  foreach(no_incremental 0 1)
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -E env CRSAT_NO_INCREMENTAL=${no_incremental}
+        ${CRSAT_CLI} report "${schema_file}"
+      RESULT_VARIABLE report_exit
+      OUTPUT_VARIABLE report_out
+      ERROR_QUIET)
+    if(NOT report_exit EQUAL 0)
+      break()  # Not a schema `report` accepts.
+    endif()
+    set(golden_name "${schema}.report")
+    if(NOT EXISTS "${GOLDEN}/${golden_name}")
+      message(FATAL_ERROR "no golden file tests/golden/${golden_name} for "
+        "crsat_cli report ${schema}.cr")
+    endif()
+    file(READ "${GOLDEN}/${golden_name}" expected)
+    if(NOT report_out STREQUAL expected)
+      message(FATAL_ERROR "CRSAT_NO_INCREMENTAL=${no_incremental} crsat_cli "
+        "report ${schema}.cr: output differs from "
+        "tests/golden/${golden_name}:\n${report_out}")
+    endif()
+    list(APPEND reached_reports "${golden_name}")
+  endforeach()
+endforeach()
+list(REMOVE_DUPLICATES reached_reports)
+list(SORT golden_reports)
+list(SORT reached_reports)
+if(NOT golden_reports STREQUAL reached_reports)
+  message(FATAL_ERROR "golden report files ${golden_reports} do not match "
+    "the reports checked ${reached_reports}")
+endif()
+
 # JSON output is locked byte for byte by tests/golden/*.json. For every
 # example schema that parses: `check --json --threads 1` (<schema>.check),
 # `check --backend=saturation --json` (.saturation), `lint --json` (.lint)

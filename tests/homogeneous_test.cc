@@ -161,5 +161,102 @@ TEST(HomogeneousTest, MaximalSupportRejectsStrictOrInhomogeneous) {
   EXPECT_FALSE(ComputeMaximalSupport(fine, {false, false}).ok());  // Size.
 }
 
+// The three unknowns of the target-probe systems below: two class unknowns
+// and a relationship unknown `r` that depends on `sources`.
+struct TargetSystem {
+  LinearSystem system;
+  VarId c = 0;
+  VarId d = 0;
+  VarId r = 0;
+  std::vector<Dependency> dependencies;
+};
+
+TargetSystem RelationshipOver(const std::vector<bool>& on_c_and_d) {
+  TargetSystem built;
+  built.c = built.system.AddVariable("x_C");
+  built.d = built.system.AddVariable("x_D");
+  built.r = built.system.AddVariable("r");
+  built.system.AddEq(Expr({{built.c, 1}, {built.r, -1}}));  // x_C == r.
+  Dependency dependency{built.r, {}};
+  if (on_c_and_d[0]) {
+    dependency.depends_on.push_back(built.c);
+  }
+  if (on_c_and_d[1]) {
+    dependency.depends_on.push_back(built.d);
+  }
+  built.dependencies.push_back(std::move(dependency));
+  return built;
+}
+
+TEST(TargetProbeTest, InfeasibleProbeAnswersFalse) {
+  TargetSystem built = RelationshipOver({true, false});
+  built.system.AddEq(Expr({{built.c, 1}}));  // x_C == 0.
+  std::optional<bool> decided =
+      ProbeAcceptableTarget(built.system, built.dependencies,
+                            std::vector<bool>(3, false), {built.c})
+          .value();
+  ASSERT_TRUE(decided.has_value());
+  EXPECT_FALSE(*decided);
+}
+
+TEST(TargetProbeTest, AcceptableVertexAnswersTrue) {
+  // r depends on x_C alone, and the vertex x_C = r = 1 is acceptable.
+  TargetSystem built = RelationshipOver({true, false});
+  std::optional<bool> decided =
+      ProbeAcceptableTarget(built.system, built.dependencies,
+                            std::vector<bool>(3, false), {built.c})
+          .value();
+  ASSERT_TRUE(decided.has_value());
+  EXPECT_TRUE(*decided);
+}
+
+TEST(TargetProbeTest, NonAcceptableVertexLeavesTheFixpointToDecide) {
+  // x_D appears in no row, so every vertex has x_D = 0: the probe's
+  // x_C = r = 1, x_D = 0 makes r positive on a zero source. It decides
+  // nothing, and the fixpoint finds x_C, x_D and r all positive.
+  TargetSystem built = RelationshipOver({true, true});
+  std::optional<bool> decided =
+      ProbeAcceptableTarget(built.system, built.dependencies,
+                            std::vector<bool>(3, false), {built.c})
+          .value();
+  EXPECT_FALSE(decided.has_value());
+  AcceptableSupport support =
+      ComputeAcceptableSupport(built.system, built.dependencies).value();
+  EXPECT_TRUE(support.positive[built.c]);
+  EXPECT_TRUE(support.positive[built.d]);
+  EXPECT_TRUE(support.positive[built.r]);
+}
+
+TEST(TargetProbeTest, SeededTargetsAnswerFalseWithoutAnLp) {
+  TargetSystem built = RelationshipOver({true, true});
+  const std::vector<bool> seed = {true, false, true};
+  GetSimplexStats().Reset();
+  std::optional<bool> decided =
+      ProbeAcceptableTarget(built.system, built.dependencies, seed,
+                            {built.c})
+          .value();
+  ASSERT_TRUE(decided.has_value());
+  EXPECT_FALSE(*decided);
+  EXPECT_EQ(GetSimplexStats().solves.load(), 0u);
+  // With x_C pinned, x_D alone is a target, and the pinned cone is the
+  // single unknown x_D plus its probe row.
+  WarmStartBasisCache cache;
+  decided = ProbeAcceptableTarget(built.system, built.dependencies, seed,
+                                  {built.d}, &cache)
+                .value();
+  ASSERT_TRUE(decided.has_value());
+  EXPECT_TRUE(*decided);
+  EXPECT_EQ(GetSimplexStats().solves.load(), 1u);
+  EXPECT_NE(cache.Lookup(/*num_variables=*/1, /*num_constraints=*/2),
+            nullptr);
+}
+
+TEST(TargetProbeTest, RejectsAMisSizedSeed) {
+  TargetSystem built = RelationshipOver({true, false});
+  EXPECT_FALSE(ProbeAcceptableTarget(built.system, built.dependencies,
+                                     std::vector<bool>(2, false), {built.c})
+                   .ok());
+}
+
 }  // namespace
 }  // namespace crsat

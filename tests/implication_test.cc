@@ -303,7 +303,7 @@ TEST(ExampleSchemaImplicationTest, SharedAnalysisMatchesFreshQueries) {
     ++schemas_seen;
     const Schema& schema = parsed->schema;
     const std::string name = entry.path().filename().string();
-    commands::Analysis analysis(schema);
+    commands::Analysis analysis(schema, /*witness_may_follow=*/false);
     const SatisfiabilityChecker& shared = *analysis.Checker(nullptr).value();
     const std::vector<std::vector<bool>> closure =
         ImplicationChecker::ImpliedIsaClosure(shared).value();

@@ -10,11 +10,13 @@
 
 #include <algorithm>
 
+#include "src/analysis/empty_classes.h"
 #include "src/base/incremental.h"
 #include "src/baseline/ln_reasoner.h"
 #include "src/cr/model_checker.h"
 #include "src/generator/random_schema.h"
 #include "src/reasoner/implication.h"
+#include "src/reasoner/implication_engine.h"
 #include "src/reasoner/repair.h"
 #include "src/reasoner/satisfiability.h"
 #include "src/reasoner/unsat_core.h"
@@ -411,6 +413,123 @@ TEST_P(MinimalWitnessTest, CoverSecondStageMatchesTheMinimalWitnessLp) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, MinimalWitnessTest,
+                         ::testing::Values(DebugFamily::kIsaFree,
+                                           DebugFamily::kIsa,
+                                           DebugFamily::kFigure1));
+
+// Every target the reasoner asks: each class ("a compound class containing
+// C") and each ordered pair of distinct classes ("containing C but not D",
+// the ISA implication target).
+std::vector<std::vector<int>> ClassAndIsaTargets(const Expansion& expansion) {
+  const Schema& schema = expansion.schema();
+  std::vector<std::vector<int>> targets;
+  for (ClassId c : schema.AllClasses()) {
+    targets.push_back(expansion.ClassIndicesContaining(c));
+    for (ClassId d : schema.AllClasses()) {
+      if (d == c) {
+        continue;
+      }
+      std::vector<int> violations;
+      for (int class_index : expansion.ClassIndicesContaining(c)) {
+        if (!expansion.classes()[class_index].Contains(d)) {
+          violations.push_back(class_index);
+        }
+      }
+      targets.push_back(std::move(violations));
+    }
+  }
+  return targets;
+}
+
+// Every implication query of every report triple, under the current
+// incremental setting.
+std::vector<std::vector<bool>> CheckAllVerdicts(const Schema& schema) {
+  std::vector<ImplicationQuery> queries;
+  for (std::uint64_t bound = 0; bound <= 2; ++bound) {
+    queries.push_back({ImplicationQuery::Kind::kMin, bound + 1});
+    queries.push_back({ImplicationQuery::Kind::kMax, bound});
+  }
+  std::vector<std::vector<bool>> verdicts;
+  for (RelationshipId rel : schema.AllRelationships()) {
+    for (RoleId role : schema.RolesOf(rel)) {
+      for (ClassId cls : schema.SubclassesOf(schema.PrimaryClass(role))) {
+        CardinalityImplicationEngine engine =
+            CardinalityImplicationEngine::Create(schema, cls, rel, role)
+                .value();
+        verdicts.push_back(engine.CheckAll(queries).value());
+      }
+    }
+  }
+  return verdicts;
+}
+
+class TargetProbeTest : public ::testing::TestWithParam<DebugFamily> {};
+
+TEST_P(TargetProbeTest, OneLpAnswersMatchEveryOtherPath) {
+  // A fresh checker answers each target with the target LP when it can
+  // (one solve) and falls back to the support fixpoint on a
+  // non-acceptable vertex (more than one). Either way its answer must
+  // equal the computed support's lookup, the cold path's
+  // (`ScopedIncrementalOverride(false)`: no target LP, no seeds) and
+  // Theorem 3.4's enumeration; with the provably-empty classes as hints
+  // too. Over the first 40 seeds whose expansion has at most 16 compound
+  // classes (the enumeration's cap), and `CheckAll` on the first 10 under
+  // both settings. Every family has targets that fall back.
+  constexpr int kSchemas = 40;
+  constexpr int kCheckAllSchemas = 10;
+  int schemas = 0;
+  int decided_by_lp = 0;
+  int fallbacks = 0;
+  std::uint32_t seed = 7000;
+  for (; schemas < kSchemas && seed < 9000; ++seed) {
+    ScopedIncrementalOverride on(true);
+    const Schema schema = DebuggingSchema(GetParam(), seed);
+    CheckedSchema checked(schema);
+    if (checked.expansion.classes().size() > 16) {
+      continue;
+    }
+    ++schemas;
+    ASSERT_TRUE(checked.checker.Support().ok()) << "seed " << seed;
+    const std::vector<bool> known_empty =
+        ComputeProvablyEmpty(schema).class_empty;
+    for (const std::vector<int>& target :
+         ClassAndIsaTargets(checked.expansion)) {
+      SatisfiabilityChecker fresh(checked.expansion);
+      const std::uint64_t solves_before = GetSimplexStats().solves.load();
+      const bool answer = fresh.IsTargetSatisfiable(target).value();
+      const std::uint64_t solves =
+          GetSimplexStats().solves.load() - solves_before;
+      decided_by_lp += solves == 1 ? 1 : 0;
+      fallbacks += solves > 1 ? 1 : 0;
+      EXPECT_EQ(answer, checked.checker.IsTargetSatisfiable(target).value())
+          << "seed " << seed;
+      SatisfiabilityChecker hinted(checked.expansion);
+      hinted.SetKnownEmptyClasses(known_empty);
+      EXPECT_EQ(answer, hinted.IsTargetSatisfiable(target).value())
+          << "seed " << seed;
+      EXPECT_EQ(answer, IsTargetSatisfiableByEnumeration(
+                            checked.checker.cr_system(),
+                            checked.checker.dependencies(), target)
+                            .value())
+          << "seed " << seed;
+      ScopedIncrementalOverride off(false);
+      SatisfiabilityChecker cold(checked.expansion);
+      EXPECT_EQ(answer, cold.IsTargetSatisfiable(target).value())
+          << "seed " << seed;
+    }
+    if (schemas > kCheckAllSchemas) {
+      continue;
+    }
+    const std::vector<std::vector<bool>> staged = CheckAllVerdicts(schema);
+    ScopedIncrementalOverride off(false);
+    EXPECT_EQ(CheckAllVerdicts(schema), staged) << "seed " << seed;
+  }
+  EXPECT_EQ(schemas, kSchemas) << "seeds up to " << seed;
+  EXPECT_GT(decided_by_lp, 0);
+  EXPECT_GT(fallbacks, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, TargetProbeTest,
                          ::testing::Values(DebugFamily::kIsaFree,
                                            DebugFamily::kIsa,
                                            DebugFamily::kFigure1));
